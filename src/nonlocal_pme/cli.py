@@ -8,15 +8,13 @@ runs. Exit codes: 0 all checks passed, 1 a check failed, 2 the config or
 command line was unusable.
 
 Identical config and seed give bit-identical outputs; the seed is recorded
-in every report. The environment variable NONLOCAL_PME_THREADS caps the
-number of BLAS worker threads.
+in every report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,14 +32,12 @@ from .energy import (
     sobolev_seminorm_fourier,
 )
 from .grid import Grid, GridFunction
-from .measures import AssumptionError, LevyMeasureSpec, truncate_and_atomize
+from .measures import AssumptionError, AtomMeasure, LevyMeasureSpec, truncate_and_atomize
 from .nonlinearity import NonlinearitySpec, PowerEntropy, lp_companion, stroock_varopoulos_gap
 from .operators import TruncatedOperator, apply_truncated, fourier_fractional, operator_report
 from .solver import (
     SolverConfig,
-    cfl_dt,
     convergence_study,
-    lipschitz_bound,
     oleinik_report,
     read_frames_binary,
     run,
@@ -254,10 +250,6 @@ class ExperimentConfig:
     formats: tuple[str, ...]
     refinement: tuple[tuple[float, ...], tuple[int, ...]] | None
 
-    @property
-    def effective_tail(self) -> float:
-        return self.tail_cutoff if self.tail_cutoff is not None else 0.5 * self.grid.halfwidth
-
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
             measure=self.measure,
@@ -405,8 +397,7 @@ def _random_path(grid: Grid, rng: np.random.Generator, nframes: int, scale: floa
     return PathFunction.from_frames(grid, frames, duration=1.0)
 
 
-def _suite_operator(exp: ExperimentConfig, seed: int) -> tuple[bool, dict]:
-    atoms = truncate_and_atomize(exp.measure, exp.grid, exp.truncation_radius, exp.effective_tail)
+def _suite_operator(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple[bool, dict]:
     rep = operator_report(TruncatedOperator(atoms), samples=20, seed=seed)
     tol = 1e-12 * rep.scale
     failures = []
@@ -429,8 +420,7 @@ def _suite_operator(exp: ExperimentConfig, seed: int) -> tuple[bool, dict]:
     }
 
 
-def _suite_energy(exp: ExperimentConfig, seed: int) -> tuple[bool, dict]:
-    atoms = truncate_and_atomize(exp.measure, exp.grid, exp.truncation_radius, exp.effective_tail)
+def _suite_energy(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple[bool, dict]:
     op = TruncatedOperator(atoms)
     rng = np.random.default_rng(seed)
     cell = exp.grid.cell_volume
@@ -475,9 +465,8 @@ def _suite_energy(exp: ExperimentConfig, seed: int) -> tuple[bool, dict]:
     }
 
 
-def _suite_stroock_varopoulos(exp: ExperimentConfig, seed: int) -> tuple[bool, dict]:
+def _suite_stroock_varopoulos(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple[bool, dict]:
     spec = replace(exp.nonlinearity, mollification_index=max(exp.mollification_index, 1))
-    atoms = truncate_and_atomize(exp.measure, exp.grid, exp.truncation_radius, exp.effective_tail)
     rng = np.random.default_rng(seed)
     gaps = {}
     failures = []
@@ -495,14 +484,14 @@ def _suite_stroock_varopoulos(exp: ExperimentConfig, seed: int) -> tuple[bool, d
     return not failures, {"min_gaps": gaps, "paths_per_order": 6, "failures": failures}
 
 
-def _suite_oleinik(exp: ExperimentConfig, seed: int) -> tuple[bool, dict]:
+def _suite_oleinik(exp: ExperimentConfig, seed: int, atoms: AtomMeasure | None) -> tuple[bool, dict]:
     spec = replace(exp.nonlinearity, mollification_index=max(exp.mollification_index, 1))
     base = replace(
         exp.solver_config(), mollification_index=spec.mollification_index, dt=None
     )
+    del atoms  # the run below brings the atoms it stepped with
     traj, _ = run(base)
-    atoms = truncate_and_atomize(exp.measure, exp.grid, exp.truncation_radius, exp.effective_tail)
-    same = oleinik_report(traj, traj, spec, atoms)
+    same = oleinik_report(traj, traj, spec, traj.atoms)
     failures = []
     zero_scale = 1e-12 * max(abs(same.monotone_integral), abs(same.quadratic_form), 1.0)
     if abs(same.monotone_integral) > zero_scale or abs(same.quadratic_form) > zero_scale:
@@ -517,7 +506,7 @@ def _suite_oleinik(exp: ExperimentConfig, seed: int) -> tuple[bool, dict]:
     for _ in range(8):
         first = _random_path(exp.grid, rng, nframes=5)
         second = _random_path(exp.grid, rng, nframes=5)
-        rep = oleinik_report(first, second, spec, atoms)
+        rep = oleinik_report(first, second, spec, traj.atoms)
         min_quadratic = min(min_quadratic, rep.quadratic_form)
     if min_quadratic < 0.0:
         failures.append(f"quadratic form went negative on a random pair: {min_quadratic:.3e}")
@@ -533,8 +522,8 @@ def _suite_oleinik(exp: ExperimentConfig, seed: int) -> tuple[bool, dict]:
     }
 
 
-def _suite_density(exp: ExperimentConfig, seed: int) -> tuple[bool, dict]:
-    del seed  # deterministic construction
+def _suite_density(exp: ExperimentConfig, seed: int, atoms: AtomMeasure | None) -> tuple[bool, dict]:
+    del seed, atoms  # deterministic construction, no operator
     profile = exp.initial.values
     peak = float(np.max(np.abs(profile)))
     if peak == 0.0:
@@ -563,8 +552,8 @@ def _suite_density(exp: ExperimentConfig, seed: int) -> tuple[bool, dict]:
     }
 
 
-def _suite_sobolev(exp: ExperimentConfig, seed: int) -> tuple[bool, dict]:
-    del seed  # deterministic construction
+def _suite_sobolev(exp: ExperimentConfig, seed: int, atoms: AtomMeasure | None) -> tuple[bool, dict]:
+    del seed, atoms  # deterministic construction, no operator
     if exp.grid.dims != 1:
         raise ConfigError("sobolev suite needs a one-dimensional grid for the direct route")
     if exp.measure.kind != "fractional" or exp.measure.alpha is None:
@@ -599,6 +588,8 @@ _SUITE_RUNNERS = {
     "density": _suite_density,
     "sobolev": _suite_sobolev,
 }
+# Suites that use the atoms cmd_verify builds once from the configured operator.
+_ATOM_SUITES = ("operator", "energy", "stroock-varopoulos")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -610,9 +601,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         suites = exp.checks
     out = _resolve_outdir(exp, args.out)
+    atoms = None
+    if any(name in _ATOM_SUITES for name in suites):
+        cfg = exp.solver_config()
+        atoms = truncate_and_atomize(cfg.measure, cfg.grid, cfg.truncation_radius, cfg.tail)
     all_ok = True
     for name in suites:
-        ok, report = _SUITE_RUNNERS[name](exp, args.seed)
+        ok, report = _SUITE_RUNNERS[name](exp, args.seed, atoms)
         report = {"suite": name, "seed": args.seed, "ok": ok, **report}
         target = out / f"verify_{name}.json"
         with open(target, "w") as handle:
@@ -674,25 +669,6 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("NONLOCAL_PME_THREADS")
-    if not raw:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"NONLOCAL_PME_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"NONLOCAL_PME_THREADS must be at least 1, got {cap}")
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=cap)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(cap)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonlocal-pme",
@@ -725,7 +701,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_cap()
         return args.handler(args)
     except (ConfigError, AssumptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,14 +113,6 @@ class PathFunction:
         return PathFunction(self.grid, self.times, func(self.frames))
 
 
-@dataclass(frozen=True)
-class EnergyValue:
-    """A nonnegative diagonal energy together with which form produced it."""
-
-    value: float
-    form: str
-
-
 def _atom_columns(measure: AtomMeasure | KernelField) -> tuple[Grid, np.ndarray, "np.ndarray | None"]:
     if isinstance(measure, AtomMeasure):
         return measure.grid, measure.offsets, None
@@ -147,12 +139,6 @@ def bilinear(measure: AtomMeasure | KernelField, f: GridFunction, g: GridFunctio
         else:
             total += float(np.dot(field_weights[:, k] * df, dg))
     return 0.5 * grid.cell_volume * total
-
-
-def energy_value(measure: AtomMeasure | KernelField, f: GridFunction) -> EnergyValue:
-    """Diagonal of the bilinear form, clipped at zero against roundoff."""
-    tag = "kernel-field" if isinstance(measure, KernelField) else "atom-measure"
-    return EnergyValue(value=max(0.0, bilinear(measure, f, f)), form=tag)
 
 
 def parabolic_bilinear(

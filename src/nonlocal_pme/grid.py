@@ -104,22 +104,22 @@ class GridFunction:
         return GridFunction(self.grid, values)
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
-    """Discrete L^p norm (sum |f|^p h^N)^(1/p); p = inf gives max |f|.
+def lp_norms(values: np.ndarray, cell_volume: float, p: float) -> np.ndarray:
+    """Discrete L^p norm (sum |f|^p h^N)^(1/p) along the last axis, so a stack
+    of frames gives one norm per frame; p = inf gives max |f|.
 
     Exponents below 1 are rejected: the quantity is not a norm there.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p!r}")
-    abs_vals = np.abs(f.values)
     if math.isinf(p):
-        return float(abs_vals.max()) if abs_vals.size else 0.0
-    cell = f.grid.cell_volume
-    if p == 1:
-        return float(abs_vals.sum() * cell)
-    if p == 2:
-        return float(math.sqrt(np.dot(abs_vals, abs_vals) * cell))
-    return float((np.sum(abs_vals**p) * cell) ** (1.0 / p))
+        return np.max(np.abs(values), axis=-1)
+    return (cell_volume * np.sum(np.abs(values) ** p, axis=-1)) ** (1.0 / p)
+
+
+def lp_norm(f: GridFunction, p: float) -> float:
+    """The one-frame case of :func:`lp_norms`."""
+    return float(lp_norms(f.values, f.grid.cell_volume, p))
 
 
 def mass(f: GridFunction) -> float:

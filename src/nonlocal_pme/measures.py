@@ -519,13 +519,6 @@ class KernelField:
         w = np.stack(cols, axis=-1) if cols else np.zeros((grid.npoints, 0))
         return cls(grid, base, w)
 
-    def weight_at_shifted(self, k: int) -> np.ndarray:
-        """Column k of the weights evaluated at x + z_k instead of x."""
-        grid = self.grid
-        col = self.weights[:, k].reshape(grid.shape)
-        rolled = np.roll(col, tuple(-int(o) for o in self.base.offsets[k]), axis=tuple(range(grid.dims)))
-        return rolled.reshape(-1)
-
     def symmetry_defect(self) -> float:
         """max |w(x, z) - w(x+z, -z)| over all points and atoms."""
         if self.base.natoms == 0:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .energy import PathFunction
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, lp_norms
 from .measures import AssumptionError, AtomMeasure, KernelField, LevyMeasureSpec, truncate_and_atomize
 from .nonlinearity import NonlinearitySpec, lipschitz_bound, lp_companion
 from .operators import TruncatedOperator, _apply_atoms
@@ -80,22 +80,48 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
+class EnergyBudgetReport:
+    """Energy-balance residuals of a trajectory and their convexity bounds.
+
+    cumulative_energy[k] is the left-rule sum of dt times the diagonal energy
+    of phi_n(u^j) for j < k. residuals[k] is the energy-balance defect
+    Phi-integral(k) + cumulative_energy(k) - Phi-integral(0); the convexity
+    of the antiderivative pins it inside [0, residual_bounds[k]] up to the
+    roundoff allowance, so enclosure_ok needs no tuned tolerance. The largest
+    |residual| shrinks first order under dt halving.
+    """
+
+    times: np.ndarray
+    phi_integrals: np.ndarray
+    cumulative_energy: np.ndarray
+    residuals: np.ndarray
+    residual_bounds: np.ndarray
+    max_abs_residual: float
+    enclosure_ok: bool
+    roundoff_allowance: float
+
+
+@dataclass(frozen=True)
 class Trajectory:
-    """The computed frames plus the configuration that produced them."""
+    """The computed frames plus the configuration that produced them.
+
+    atoms is the measure the scheme stepped with, and budget the energy
+    balance built from the frame energies and flux squares of those steps;
+    energy_budget and lp_budget reuse both instead of re-atomizing the
+    measure or re-applying the operator.
+    """
 
     path: PathFunction
     config: SolverConfig
+    atoms: AtomMeasure
+    budget: EnergyBudgetReport
 
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """Per-frame conserved/decaying quantities and any violation flags.
 
-    cumulative_energy[k] is the left-rule sum of dt times the diagonal energy
-    of phi_n(u^j) for j < k. residuals[k] is the energy-balance defect
-    Phi-integral(k) + cumulative_energy(k) - Phi-integral(0); the convexity
-    of the antiderivative pins it inside [0, residual_bounds[k]] up to
-    roundoff, so the corresponding flag needs no tuned tolerance.
+    The energy columns are those of the run's EnergyBudgetReport.
     """
 
     times: np.ndarray
@@ -113,15 +139,6 @@ class DiagnosticsReport:
                   self.residuals, self.residual_bounds, *self.norms.values()]
         if any(a.shape != (rows,) for a in arrays):
             raise ValueError("diagnostic columns must have one row per frame")
-
-
-def _state_lipschitz(spec: NonlinearitySpec, amplitude: float) -> float:
-    """Slope bound for the state range [-amplitude, amplitude].
-
-    Zero amplitude (identically zero data) falls back to the unit range so a
-    step size still exists for the trivial evolution.
-    """
-    return lipschitz_bound(spec, amplitude if amplitude > 0 else 1.0)
 
 
 def cfl_dt(atoms: AtomMeasure, lipschitz_phi_n: float, theta: float) -> float:
@@ -146,6 +163,30 @@ def cfl_dt(atoms: AtomMeasure, lipschitz_phi_n: float, theta: float) -> float:
     return theta / (2.0 * lipschitz_phi_n * atoms.total_mass)
 
 
+def _checked_dt(
+    atoms: AtomMeasure,
+    spec: NonlinearitySpec,
+    amplitude: float,
+    theta: float,
+    dt: float | None,
+    refusal: str,
+) -> tuple[float, float]:
+    """(dt, Lip(phi_n)) for states in [-amplitude, amplitude].
+
+    dt = None takes the step-size bound itself; a dt above the bound raises,
+    with refusal appended to the message. Zero amplitude (identically zero
+    data) falls back to the unit range so a step size still exists for the
+    trivial evolution.
+    """
+    lip = lipschitz_bound(spec, amplitude if amplitude > 0 else 1.0)
+    bound = cfl_dt(atoms, lip, theta)
+    if dt is None:
+        dt = bound
+    if dt > bound * (1.0 + 1e-12):
+        raise AssumptionError(f"dt = {dt:.6g} exceeds the monotonicity bound {bound:.6g}{refusal}")
+    return dt, lip
+
+
 def step(u: GridFunction, op: TruncatedOperator, spec: NonlinearitySpec, dt: float) -> GridFunction:
     """One forward-Euler update u + dt * L[phi_n(u)].
 
@@ -159,12 +200,8 @@ def step(u: GridFunction, op: TruncatedOperator, spec: NonlinearitySpec, dt: flo
         raise ValueError(f"dt must be positive, got {dt!r}")
     amplitude = float(np.max(np.abs(u.values)))
     if amplitude > 0:
-        bound = cfl_dt(op.atoms, _state_lipschitz(spec, amplitude), 1.0)
-        if dt > bound * (1.0 + 1e-12):
-            raise AssumptionError(
-                f"dt = {dt:.6g} exceeds the monotonicity bound {bound:.6g} for this state; "
-                f"refusing to take a potentially oscillatory step"
-            )
+        _checked_dt(op.atoms, spec, amplitude, 1.0, dt,
+                    " for this state; refusing to take a potentially oscillatory step")
     flux = _apply_atoms(op.atoms, spec.value(u.values))
     return u.with_values(u.values + dt * flux)
 
@@ -180,14 +217,8 @@ def run(config: SolverConfig) -> tuple[Trajectory, DiagnosticsReport]:
     atoms = truncate_and_atomize(config.measure, grid, config.truncation_radius, config.tail)
     spec = config.effective_nonlinearity
     amplitude = float(np.max(np.abs(config.initial.values)))
-    lip = _state_lipschitz(spec, amplitude)
-    bound = cfl_dt(atoms, lip, config.cfl_theta)
-    dt = config.dt if config.dt is not None else bound
-    if dt > bound * (1.0 + 1e-12):
-        raise AssumptionError(
-            f"dt = {dt:.6g} exceeds the monotonicity bound {bound:.6g} "
-            f"(theta = {config.cfl_theta}); pick dt at or below the bound"
-        )
+    dt, lip = _checked_dt(atoms, spec, amplitude, config.cfl_theta, config.dt,
+                          f" (theta = {config.cfl_theta}); pick dt at or below the bound")
     nsteps = max(1, math.ceil(config.duration / dt - 1e-9))
     dt = config.duration / nsteps
 
@@ -209,39 +240,48 @@ def run(config: SolverConfig) -> tuple[Trajectory, DiagnosticsReport]:
         frames[k + 1] = u
 
     path = PathFunction(grid, np.linspace(0.0, config.duration, nsteps + 1), frames)
-    traj = Trajectory(path=path, config=config)
-    report = _diagnose(traj, spec, lip, frame_energy, flux_square)
-    return traj, report
+    budget = _energy_balance(path, spec, lip, frame_energy, flux_square)
+    traj = Trajectory(path=path, config=config, atoms=atoms, budget=budget)
+    return traj, _diagnose(traj, frame_energy)
 
 
-def _frame_lp(frames: np.ndarray, cell_volume: float, p: float) -> np.ndarray:
-    if p == _INF:
-        return np.max(np.abs(frames), axis=1)
-    return (cell_volume * np.sum(np.abs(frames) ** p, axis=1)) ** (1.0 / p)
-
-
-def _diagnose(
-    traj: Trajectory,
+def _energy_balance(
+    path: PathFunction,
     spec: NonlinearitySpec,
     lip: float,
     frame_energy: np.ndarray,
     flux_square: np.ndarray,
-) -> DiagnosticsReport:
-    path = traj.path
-    grid = path.grid
-    hN = grid.cell_volume
+) -> EnergyBudgetReport:
+    hN = path.grid.cell_volume
     dt = path.dt
-    frames = path.frames
-
-    masses = hN * frames.sum(axis=1)
-    norms = {p: _frame_lp(frames, hN, p) for p in traj.config.lp_orders}
-    phi_integrals = hN * spec.primitive(frames).sum(axis=1)
+    phi_integrals = hN * spec.primitive(path.frames).sum(axis=1)
     cumulative = np.concatenate([[0.0], np.cumsum(dt * frame_energy)])
     residuals = phi_integrals + cumulative - phi_integrals[0]
     bounds = np.concatenate([[0.0], np.cumsum(0.5 * lip * dt * dt * flux_square)])
+    fp_tol = 1e-10 * (1.0 + abs(float(phi_integrals[0])) + float(cumulative[-1]))
+    return EnergyBudgetReport(
+        times=path.times.copy(),
+        phi_integrals=phi_integrals,
+        cumulative_energy=cumulative,
+        residuals=residuals,
+        residual_bounds=bounds,
+        max_abs_residual=float(np.max(np.abs(residuals))),
+        enclosure_ok=bool(np.min(residuals) >= -fp_tol and np.max(residuals - bounds) <= fp_tol),
+        roundoff_allowance=fp_tol,
+    )
+
+
+def _diagnose(traj: Trajectory, frame_energy: np.ndarray) -> DiagnosticsReport:
+    path = traj.path
+    budget = traj.budget
+    hN = path.grid.cell_volume
+    frames = path.frames
+
+    masses = hN * frames.sum(axis=1)
+    norms = {p: lp_norms(frames, hN, p) for p in traj.config.lp_orders}
 
     flags: list[str] = []
-    l1_initial = norms.get(1.0, _frame_lp(frames[:1], hN, 1.0))[0]
+    l1_initial = norms[1.0][0] if 1.0 in norms else lp_norms(frames[0], hN, 1.0)
     drift = float(np.max(np.abs(masses - masses[0])))
     mass_tol = 1e-12 * max(l1_initial, 1e-300)
     if drift > mass_tol:
@@ -260,82 +300,29 @@ def _diagnose(
     energy_tol = 1e-12 * (1.0 + float(np.max(np.abs(frame_energy), initial=0.0)))
     if energy_floor < -energy_tol:
         flags.append(f"frame energy went negative: {energy_floor:.3e}")
-    scale = 1.0 + abs(phi_integrals[0]) + cumulative[-1]
-    fp_tol = 1e-10 * scale
-    low = float(np.min(residuals))
-    high = float(np.max(residuals - bounds))
-    if low < -fp_tol or high > fp_tol:
+    if not budget.enclosure_ok:
         flags.append(
-            f"energy residual left its convexity enclosure: min {low:.3e}, "
-            f"max overshoot {high:.3e} (roundoff allowance {fp_tol:.3e})"
+            f"energy residual left its convexity enclosure: min {np.min(budget.residuals):.3e}, "
+            f"max overshoot {np.max(budget.residuals - budget.residual_bounds):.3e} "
+            f"(roundoff allowance {budget.roundoff_allowance:.3e})"
         )
 
     return DiagnosticsReport(
         times=path.times.copy(),
         masses=masses,
         norms=norms,
-        phi_integrals=phi_integrals,
-        cumulative_energy=cumulative,
-        residuals=residuals,
-        residual_bounds=bounds,
+        phi_integrals=budget.phi_integrals,
+        cumulative_energy=budget.cumulative_energy,
+        residuals=budget.residuals,
+        residual_bounds=budget.residual_bounds,
         violation_flags=tuple(flags),
     )
 
 
-@dataclass(frozen=True)
-class EnergyBudgetReport:
-    """Energy-balance residuals of a trajectory and their convexity bounds."""
-
-    times: np.ndarray
-    phi_integrals: np.ndarray
-    cumulative_energy: np.ndarray
-    residuals: np.ndarray
-    residual_bounds: np.ndarray
-    max_abs_residual: float
-    enclosure_ok: bool
-
-
 def energy_budget(traj: Trajectory) -> EnergyBudgetReport:
-    """Recompute the antiderivative/energy balance from the stored frames.
-
-    residual(k) = integral of the antiderivative at frame k, plus the
-    accumulated dissipation, minus the initial integral. Convexity of the
-    antiderivative keeps each residual in [0, bound_k]; the largest |residual|
-    shrinks first order under dt halving.
-    """
-    config = traj.config
-    spec = config.effective_nonlinearity
-    grid = config.grid
-    atoms = truncate_and_atomize(config.measure, grid, config.truncation_radius, config.tail)
-    amplitude = float(np.max(np.abs(traj.path.frames[0])))
-    lip = _state_lipschitz(spec, amplitude)
-    frames = traj.path.frames
-    dt = traj.path.dt
-    hN = grid.cell_volume
-    nsteps = traj.path.nsteps
-    frame_energy = np.zeros(nsteps)
-    flux_square = np.zeros(nsteps)
-    for k in range(nsteps):
-        pv = spec.value(frames[k])
-        flux = _apply_atoms(atoms, pv)
-        frame_energy[k] = -hN * float(np.dot(pv, flux))
-        flux_square[k] = hN * float(np.dot(flux, flux))
-    phi_integrals = hN * spec.primitive(frames).sum(axis=1)
-    cumulative = np.concatenate([[0.0], np.cumsum(dt * frame_energy)])
-    residuals = phi_integrals + cumulative - phi_integrals[0]
-    bounds = np.concatenate([[0.0], np.cumsum(0.5 * lip * dt * dt * flux_square)])
-    scale = 1.0 + abs(float(phi_integrals[0])) + float(cumulative[-1])
-    fp_tol = 1e-10 * scale
-    ok = bool(np.min(residuals) >= -fp_tol and np.max(residuals - bounds) <= fp_tol)
-    return EnergyBudgetReport(
-        times=traj.path.times.copy(),
-        phi_integrals=phi_integrals,
-        cumulative_energy=cumulative,
-        residuals=residuals,
-        residual_bounds=bounds,
-        max_abs_residual=float(np.max(np.abs(residuals))),
-        enclosure_ok=ok,
-    )
+    """The energy balance of a trajectory: the one run recorded from its own
+    step loop, so nothing is re-atomized or re-stepped."""
+    return traj.budget
 
 
 def energy_budget_pair(config: SolverConfig) -> tuple[EnergyBudgetReport, EnergyBudgetReport, float]:
@@ -377,14 +364,12 @@ class LpBudgetReport:
 def lp_budget(traj: Trajectory, p: float, tolerance: float = 1e-10) -> LpBudgetReport:
     """Check that the p-norm never increases, and for finite p > 1 with a
     smoothed nonlinearity also accumulate the companion energy and the summed
-    decay inequality."""
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p!r}")
+    decay inequality, applying the operator with the atoms the run stepped
+    with."""
     path = traj.path
-    grid = path.grid
-    hN = grid.cell_volume
+    hN = path.grid.cell_volume
     frames = path.frames
-    norms = _frame_lp(frames, hN, p)
+    norms = lp_norms(frames, hN, p)
     increases = np.diff(norms)
     max_increase = float(np.max(increases, initial=0.0))
     monotone = max_increase <= tolerance * (1.0 + float(norms[0]))
@@ -405,12 +390,9 @@ def lp_budget(traj: Trajectory, p: float, tolerance: float = 1e-10) -> LpBudgetR
             xi_frames = companion.value(frames)
             dt = path.dt
             energies = np.zeros(path.nsteps)
-            atoms = truncate_and_atomize(
-                traj.config.measure, grid, traj.config.truncation_radius, traj.config.tail
-            )
             for k in range(path.nsteps):
                 xi = xi_frames[k]
-                energies[k] = -hN * float(np.dot(xi, _apply_atoms(atoms, xi)))
+                energies[k] = -hN * float(np.dot(xi, _apply_atoms(traj.atoms, xi)))
             companion_energy = np.concatenate([[0.0], np.cumsum(dt * energies)])
             powers = hN * np.sum(np.abs(frames) ** p, axis=1)
             # Frame 0 has slack exactly zero by construction; the later frames
@@ -468,21 +450,20 @@ def convergence_study(
 
     grid = base.grid
     amplitude = float(np.max(np.abs(base.initial.values)))
-    bounds = []
-    for r, n in zip(r_seq, n_seq):
-        cfg = replace(base, truncation_radius=float(r), mollification_index=int(n), dt=None)
-        atoms = truncate_and_atomize(cfg.measure, grid, cfg.truncation_radius, cfg.tail)
-        lip = _state_lipschitz(cfg.effective_nonlinearity, amplitude)
-        bounds.append(cfl_dt(atoms, lip, cfg.cfl_theta))
-    dt = min(bounds)
+    levels = [
+        replace(base, truncation_radius=float(r), mollification_index=int(n), dt=None)
+        for r, n in zip(r_seq, n_seq)
+    ]
+    dt = min(
+        _checked_dt(
+            truncate_and_atomize(cfg.measure, grid, cfg.truncation_radius, cfg.tail),
+            cfg.effective_nonlinearity, amplitude, cfg.cfl_theta, None, "",
+        )[0]
+        for cfg in levels
+    )
     nsteps = max(1, math.ceil(base.duration / dt - 1e-9))
     dt = base.duration / nsteps
-
-    trajectories = []
-    for r, n in zip(r_seq, n_seq):
-        cfg = replace(base, truncation_radius=float(r), mollification_index=int(n), dt=dt)
-        traj, _ = run(cfg)
-        trajectories.append(traj)
+    trajectories = [run(replace(cfg, dt=dt))[0] for cfg in levels]
 
     coords = grid.coordinates()
     ball = np.sqrt(np.sum(coords * coords, axis=1)) <= 0.5 * grid.halfwidth

@@ -215,11 +215,3 @@ def test_initial_from_frames_file_takes_the_last_frame(tmp_path):
     )
     exp = load_experiment(write_config(tmp_path, restart, name="restart.json"))
     np.testing.assert_array_equal(exp.initial.values, frames[-1])
-
-
-def test_thread_cap_must_be_a_positive_integer(tmp_path, monkeypatch):
-    path = write_config(tmp_path, base_config())
-    monkeypatch.setenv("NONLOCAL_PME_THREADS", "zero")
-    assert main(["simulate", "--config", path, "--quiet"]) == 2
-    monkeypatch.setenv("NONLOCAL_PME_THREADS", "0")
-    assert main(["simulate", "--config", path, "--quiet"]) == 2

@@ -18,6 +18,7 @@ from nonlocal_pme import (
     convergence_study,
     energy_budget,
     energy_budget_pair,
+    lipschitz_bound,
     lp_budget,
     lp_norm,
     oleinik_report,
@@ -29,6 +30,7 @@ from nonlocal_pme import (
     write_frames_binary,
     write_summary_json,
 )
+from nonlocal_pme import cli, energy, measures, operators, solver
 
 
 def two_cell_atoms():
@@ -115,6 +117,76 @@ def test_energy_budget_pair_halves_the_residual():
     coarse, fine, ratio = energy_budget_pair(gaussian_config())
     assert coarse.enclosure_ok and fine.enclosure_ok
     assert 1.5 < ratio < 2.6
+
+
+def _recomputed_budget(traj):
+    """Independent route to the energy balance: re-atomize, re-step the
+    stored frames and redo the arithmetic from scratch."""
+    config = traj.config
+    spec = config.effective_nonlinearity
+    grid = config.grid
+    atoms = truncate_and_atomize(config.measure, grid, config.truncation_radius, config.tail)
+    lip = lipschitz_bound(spec, float(np.max(np.abs(traj.path.frames[0]))))
+    frames = traj.path.frames
+    dt = traj.path.dt
+    hN = grid.cell_volume
+    frame_energy = np.zeros(traj.path.nsteps)
+    flux_square = np.zeros(traj.path.nsteps)
+    for k in range(traj.path.nsteps):
+        pv = spec.value(frames[k])
+        flux = operators._apply_atoms(atoms, pv)
+        frame_energy[k] = -hN * float(np.dot(pv, flux))
+        flux_square[k] = hN * float(np.dot(flux, flux))
+    phi_integrals = hN * spec.primitive(frames).sum(axis=1)
+    cumulative = np.concatenate([[0.0], np.cumsum(dt * frame_energy)])
+    residuals = phi_integrals + cumulative - phi_integrals[0]
+    bounds = np.concatenate([[0.0], np.cumsum(0.5 * lip * dt * dt * flux_square)])
+    fp_tol = 1e-10 * (1.0 + abs(float(phi_integrals[0])) + float(cumulative[-1]))
+    return {
+        "times": traj.path.times,
+        "phi_integrals": phi_integrals,
+        "cumulative_energy": cumulative,
+        "residuals": residuals,
+        "residual_bounds": bounds,
+        "max_abs_residual": float(np.max(np.abs(residuals))),
+        "enclosure_ok": bool(np.min(residuals) >= -fp_tol and np.max(residuals - bounds) <= fp_tol),
+        "roundoff_allowance": fp_tol,
+    }
+
+
+def _count_calls(monkeypatch, name, module):
+    """Replace module.name in every package module that holds it; return the call counter."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for holder in (cli, energy, measures, operators, solver):
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+def test_budgets_reuse_the_run_record(monkeypatch):
+    traj, report = run(gaussian_config())
+    expected = _recomputed_budget(traj)
+    atomized = _count_calls(monkeypatch, "truncate_and_atomize", measures)
+    applied = _count_calls(monkeypatch, "_apply_atoms", operators)
+
+    budget = energy_budget(traj)
+    assert atomized == [] and applied == []
+    for p in (1.0, 2.0, 4.0, np.inf):
+        lp_budget(traj, p)
+    assert atomized == []
+    # only the companion energies of p = 2 and p = 4 apply the operator
+    assert len(applied) == 2 * traj.path.nsteps
+
+    for name, value in expected.items():
+        assert np.array_equal(getattr(budget, name), value), name
+    for name in ("phi_integrals", "cumulative_energy", "residuals", "residual_bounds"):
+        assert np.array_equal(getattr(report, name), expected[name]), name
 
 
 @pytest.mark.parametrize("order", [1.0, 2.0, 4.0, np.inf])
