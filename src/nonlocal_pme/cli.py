@@ -34,7 +34,7 @@ from .energy import (
 from .grid import Grid, GridFunction
 from .measures import AssumptionError, AtomMeasure, LevyMeasureSpec, truncate_and_atomize
 from .nonlinearity import NonlinearitySpec, PowerEntropy, lp_companion, stroock_varopoulos_gap
-from .operators import TruncatedOperator, apply_truncated, fourier_fractional, operator_report
+from .operators import apply_truncated, fourier_fractional, operator_report
 from .solver import (
     SolverConfig,
     convergence_study,
@@ -398,7 +398,7 @@ def _random_path(grid: Grid, rng: np.random.Generator, nframes: int, scale: floa
 
 
 def _suite_operator(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple[bool, dict]:
-    rep = operator_report(TruncatedOperator(atoms), samples=20, seed=seed)
+    rep = operator_report(atoms, samples=20, seed=seed)
     tol = 1e-12 * rep.scale
     failures = []
     if rep.symmetry_defect > tol:
@@ -421,7 +421,6 @@ def _suite_operator(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tup
 
 
 def _suite_energy(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple[bool, dict]:
-    op = TruncatedOperator(atoms)
     rng = np.random.default_rng(seed)
     cell = exp.grid.cell_volume
     worst_pairing = worst_symmetry = 0.0
@@ -429,7 +428,7 @@ def _suite_energy(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple
     for _ in range(8):
         f = GridFunction(exp.grid, rng.standard_normal(exp.grid.npoints))
         g = GridFunction(exp.grid, rng.standard_normal(exp.grid.npoints))
-        lf = apply_truncated(op, f)
+        lf = apply_truncated(atoms, f)
         pairing = cell * float(np.dot(g.values, lf.values))
         efg = bilinear(atoms, f, g)
         worst_pairing = max(worst_pairing, abs(pairing + efg))

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import ndimage
 
 from .bump import discrete_bump_kernel, smoothstep_down, standard_bump
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, translated
 from .measures import AtomMeasure, KernelField, normalization_multiplier
 
 
@@ -113,31 +113,16 @@ class PathFunction:
         return PathFunction(self.grid, self.times, func(self.frames))
 
 
-def _atom_columns(measure: AtomMeasure | KernelField) -> tuple[Grid, np.ndarray, "np.ndarray | None"]:
-    if isinstance(measure, AtomMeasure):
-        return measure.grid, measure.offsets, None
-    if isinstance(measure, KernelField):
-        return measure.grid, measure.offsets, measure.weights
-    raise TypeError(f"expected AtomMeasure or KernelField, got {type(measure).__name__}")
-
-
 def bilinear(measure: AtomMeasure | KernelField, f: GridFunction, g: GridFunction) -> float:
     """(1/2) h^N sum over points and atoms of w * (difference of f)(difference of g)."""
-    grid, offsets, field_weights = _atom_columns(measure)
+    grid = measure.grid
     if f.grid != grid or g.grid != grid:
         raise ValueError("function grids do not match the measure's grid")
-    f_box = f.reshaped()
-    g_box = g.reshaped()
-    axes = tuple(range(grid.dims))
+    pair = np.stack([f.values, g.values])
     total = 0.0
-    for k in range(offsets.shape[0]):
-        shift = tuple(-int(o) for o in offsets[k])
-        df = (np.roll(f_box, shift, axis=axes) - f_box).reshape(-1)
-        dg = (np.roll(g_box, shift, axis=axes) - g_box).reshape(-1)
-        if field_weights is None:
-            total += measure.weights[k] * float(np.dot(df, dg))  # type: ignore[union-attr]
-        else:
-            total += float(np.dot(field_weights[:, k] * df, dg))
+    for k in range(measure.offsets.shape[0]):
+        df, dg = translated(pair, grid, measure.offsets[k]) - pair
+        total += measure.weighted_sum(k, df * dg)
     return 0.5 * grid.cell_volume * total
 
 
@@ -235,7 +220,7 @@ def sobolev_seminorm_direct(
     norm_sq = h * float(np.dot(values, values))
 
     # Near field: (1/2) ||Df||^2 * int_{|z|<=r0} z^2 dmu, central differences.
-    dfv = (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * h)
+    dfv = (translated(values, grid, (1,)) - translated(values, grid, (-1,))) / (2.0 * h)
     deriv_sq = h * float(np.dot(dfv, dfv))
     second_moment = 2.0 * c * near_radius ** (2.0 - alpha) / (2.0 - alpha)
     near_term = 0.5 * deriv_sq * second_moment

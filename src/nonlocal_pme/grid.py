@@ -127,6 +127,21 @@ def mass(f: GridFunction) -> float:
     return float(f.values.sum() * f.grid.cell_volume)
 
 
+def translated(values: np.ndarray, grid: Grid, offset: Sequence[int]) -> np.ndarray:
+    """Periodic values of f(x + j h) for the integer offset vector j.
+
+    The last axis of ``values`` holds the flat grid values; leading axes
+    (frames, a stacked pair) are carried along unshifted. This is the one
+    place that moves grid data: every jump-difference loop goes through it.
+    """
+    if len(offset) != grid.dims:
+        raise ValueError(f"offset must have one integer per axis ({grid.dims}), got {len(offset)}")
+    lead = values.shape[:-1]
+    box = values.reshape(lead + grid.shape)
+    axes = tuple(range(len(lead), box.ndim))
+    return np.roll(box, tuple(-int(j) for j in offset), axis=axes).reshape(values.shape)
+
+
 def shift(f: GridFunction, offset: Sequence[int] | int) -> GridFunction:
     """Periodically shift f by an integer offset vector (one entry per axis).
 
@@ -140,5 +155,4 @@ def shift(f: GridFunction, offset: Sequence[int] | int) -> GridFunction:
         )
     if not np.issubdtype(offsets.dtype, np.integer):
         raise ValueError("offset entries must be integers")
-    rolled = np.roll(f.reshaped(), tuple(int(o) for o in offsets), axis=tuple(range(f.grid.dims)))
-    return GridFunction(f.grid, rolled.reshape(-1))
+    return GridFunction(f.grid, translated(f.values, f.grid, -offsets))

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy import integrate, special
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, translated
 
 
 class AssumptionError(ValueError):
@@ -313,6 +313,10 @@ class AtomMeasure:
         """Euclidean length |j h| of every atom's jump vector."""
         return np.sqrt(np.sum((self.offsets * self.grid.spacing) ** 2, axis=1))
 
+    def weighted_sum(self, k: int, profile: np.ndarray) -> float:
+        """sum_x w_k profile(x); the weight of atom k is the same at every x."""
+        return self.weights[k] * float(profile.sum())
+
 
 def _symmetrize_weights(offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Average each weight with its mirror so evenness holds bit-for-bit."""
@@ -511,11 +515,10 @@ class KernelField:
         if np.any(scale.values < 0):
             raise ValueError("scale values must be nonnegative")
         grid = base.grid
-        s_box = scale.reshaped()
-        cols = []
-        for k in range(base.natoms):
-            shifted = np.roll(s_box, tuple(-int(o) for o in base.offsets[k]), axis=tuple(range(grid.dims)))
-            cols.append(0.5 * (scale.values + shifted.reshape(-1)) * base.weights[k])
+        cols = [
+            0.5 * (scale.values + translated(scale.values, grid, z)) * weight
+            for z, weight in zip(base.offsets, base.weights)
+        ]
         w = np.stack(cols, axis=-1) if cols else np.zeros((grid.npoints, 0))
         return cls(grid, base, w)
 
@@ -524,16 +527,16 @@ class KernelField:
         if self.base.natoms == 0:
             return 0.0
         neg = self.base.negation_indices()
-        grid = self.grid
         worst = 0.0
         for k in range(self.base.natoms):
             # compare w(x, z_k) with w(x + z_k, -z_k)
-            col_neg = self.weights[:, neg[k]].reshape(grid.shape)
-            rolled = np.roll(
-                col_neg, tuple(-int(o) for o in self.base.offsets[k]), axis=tuple(range(grid.dims))
-            ).reshape(-1)
-            worst = max(worst, float(np.max(np.abs(self.weights[:, k] - rolled))))
+            mirrored = translated(self.weights[:, neg[k]], self.grid, self.offsets[k])
+            worst = max(worst, float(np.max(np.abs(self.weights[:, k] - mirrored))))
         return worst
+
+    def weighted_sum(self, k: int, profile: np.ndarray) -> float:
+        """sum_x w_k(x) profile(x), with the weight of atom k taken at x."""
+        return float(np.dot(self.weights[:, k], profile))
 
 
 def shift_bound_ratio(kernel: KernelField) -> float:
@@ -548,10 +551,10 @@ def shift_bound_ratio(kernel: KernelField) -> float:
     if not np.any(mask):
         return 1.0
     grid = kernel.grid
-    w = kernel.weights[:, mask].reshape(grid.shape + (-1,))
+    w = kernel.weights[:, mask].T
     worst = 1.0
-    for axis in range(grid.dims):
-        neighbor = np.roll(w, -1, axis=axis)
+    for unit in np.eye(grid.dims, dtype=np.int64):
+        neighbor = translated(w, grid, unit)
         for a, b in ((w, neighbor), (neighbor, w)):
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where((a == 0) & (b == 0), 1.0, b / np.where(a == 0, np.nan, a))

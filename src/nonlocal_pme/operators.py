@@ -17,48 +17,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, translated
 from .measures import AtomMeasure, LevyMeasureSpec, second_moment_within, truncate_and_atomize
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Difference operator of an atomized measure (x-independent weights)."""
-
-    atoms: AtomMeasure
-
-    @property
-    def grid(self) -> Grid:
-        return self.atoms.grid
-
-    @classmethod
-    def from_spec(
-        cls, spec: LevyMeasureSpec, grid: Grid, r: float, tail_cutoff: float
-    ) -> "TruncatedOperator":
-        return cls(truncate_and_atomize(spec, grid, r, tail_cutoff))
-
-
 def _apply_atoms(atoms: AtomMeasure, values: np.ndarray) -> np.ndarray:
-    """sum_k w_k (roll(f, -j_k) - f), accumulated atom by atom in fixed order.
+    """sum_k w_k (f(x + z_k) - f(x)), accumulated atom by atom in fixed order.
 
-    Accumulating the differences (rather than the rolled sums) makes the
+    Accumulating the differences (rather than the shifted sums) makes the
     zero-row-sum property exact: constants map to exactly zero.
     """
-    grid = atoms.grid
-    box = values.reshape(grid.shape)
-    out = np.zeros_like(box)
-    axes = tuple(range(grid.dims))
+    out = np.zeros_like(values)
     for k in range(atoms.natoms):
-        shift = tuple(-int(o) for o in atoms.offsets[k])
-        out += atoms.weights[k] * (np.roll(box, shift, axis=axes) - box)
-    return out.reshape(-1)
+        out += atoms.weights[k] * (translated(values, atoms.grid, atoms.offsets[k]) - values)
+    return out
 
 
-def apply_truncated(op: TruncatedOperator, f: GridFunction) -> GridFunction:
+def apply_truncated(atoms: AtomMeasure, f: GridFunction) -> GridFunction:
     """(Lf)(x) = sum_k w_k (f(x + z_k) - f(x)), periodic in x."""
-    if f.grid != op.grid:
+    if f.grid != atoms.grid:
         raise ValueError("operator and function grids differ")
-    return GridFunction(f.grid, _apply_atoms(op.atoms, f.values))
+    return GridFunction(f.grid, _apply_atoms(atoms, f.values))
 
 
 @dataclass(frozen=True)
@@ -105,14 +84,14 @@ def apply_compensated(op: CompensatedOperator, f: GridFunction) -> GridFunction:
     if f.grid != op.grid:
         raise ValueError("operator and function grids differ")
     grid = f.grid
-    out = _apply_atoms(op.atoms, f.values).reshape(grid.shape)
-    box = f.reshaped()
-    for axis in range(grid.dims):
+    out = _apply_atoms(op.atoms, f.values)
+    for axis, unit in enumerate(np.eye(grid.dims, dtype=np.int64)):
         c = op.near_field_coefficient[axis]
         if c == 0.0:
             continue
-        out += c * (np.roll(box, -1, axis=axis) - 2.0 * box + np.roll(box, 1, axis=axis))
-    return GridFunction(grid, out.reshape(-1))
+        forward = translated(f.values, grid, unit)
+        out += c * (forward - 2.0 * f.values + translated(f.values, grid, -unit))
+    return GridFunction(grid, out)
 
 
 def grid_frequencies(grid: Grid) -> list[np.ndarray]:
@@ -157,7 +136,7 @@ class OperatorReport:
 
 
 def operator_report(
-    op: TruncatedOperator | CompensatedOperator, samples: int, seed: int = 0
+    op: AtomMeasure | CompensatedOperator, samples: int, seed: int = 0
 ) -> OperatorReport:
     """Measure symmetry |<g,Lf> - <f,Lg>|, mass |sum Lf h^N|, and positivity
     max(0, <f,Lf>) over seeded random sample pairs.
@@ -170,7 +149,7 @@ def operator_report(
         raise ValueError("need at least one sample")
     grid = op.grid
     cell = grid.cell_volume
-    apply = apply_truncated if isinstance(op, TruncatedOperator) else apply_compensated
+    apply = apply_compensated if isinstance(op, CompensatedOperator) else apply_truncated
     rng = np.random.default_rng(seed)
     sym = row = dissip = 0.0
     scale = 0.0

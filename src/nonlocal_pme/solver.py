@@ -19,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .energy import PathFunction
-from .grid import Grid, GridFunction, lp_norms
+from .grid import Grid, GridFunction, lp_norms, translated
 from .measures import AssumptionError, AtomMeasure, KernelField, LevyMeasureSpec, truncate_and_atomize
 from .nonlinearity import NonlinearitySpec, lipschitz_bound, lp_companion
-from .operators import TruncatedOperator, _apply_atoms
+from .operators import _apply_atoms
 
 _INF = float("inf")
 
@@ -187,22 +187,22 @@ def _checked_dt(
     return dt, lip
 
 
-def step(u: GridFunction, op: TruncatedOperator, spec: NonlinearitySpec, dt: float) -> GridFunction:
+def step(u: GridFunction, atoms: AtomMeasure, spec: NonlinearitySpec, dt: float) -> GridFunction:
     """One forward-Euler update u + dt * L[phi_n(u)].
 
     Refuses (hard error) when dt exceeds the theta = 1 monotonicity bound for
     the current state amplitude; mass is conserved exactly because the
     operator annihilates constants row by row.
     """
-    if u.grid != op.grid:
+    if u.grid != atoms.grid:
         raise ValueError("state and operator grids differ")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     amplitude = float(np.max(np.abs(u.values)))
     if amplitude > 0:
-        _checked_dt(op.atoms, spec, amplitude, 1.0, dt,
+        _checked_dt(atoms, spec, amplitude, 1.0, dt,
                     " for this state; refusing to take a potentially oscillatory step")
-    flux = _apply_atoms(op.atoms, spec.value(u.values))
+    flux = _apply_atoms(atoms, spec.value(u.values))
     return u.with_values(u.values + dt * flux)
 
 
@@ -213,8 +213,16 @@ def run(config: SolverConfig) -> tuple[Trajectory, DiagnosticsReport]:
     monotone update cannot enlarge the state range, so the one bound covers
     every step. Non-finite values abort with the offending frame index.
     """
+    return _run(config, _atomize(config))
+
+
+def _atomize(config: SolverConfig) -> AtomMeasure:
+    return truncate_and_atomize(config.measure, config.grid, config.truncation_radius, config.tail)
+
+
+def _run(config: SolverConfig, atoms: AtomMeasure) -> tuple[Trajectory, DiagnosticsReport]:
+    """run with the atoms of config.measure already built."""
     grid = config.grid
-    atoms = truncate_and_atomize(config.measure, grid, config.truncation_radius, config.tail)
     spec = config.effective_nonlinearity
     amplitude = float(np.max(np.abs(config.initial.values)))
     dt, lip = _checked_dt(atoms, spec, amplitude, config.cfl_theta, config.dt,
@@ -454,16 +462,14 @@ def convergence_study(
         replace(base, truncation_radius=float(r), mollification_index=int(n), dt=None)
         for r, n in zip(r_seq, n_seq)
     ]
+    level_atoms = [_atomize(cfg) for cfg in levels]
     dt = min(
-        _checked_dt(
-            truncate_and_atomize(cfg.measure, grid, cfg.truncation_radius, cfg.tail),
-            cfg.effective_nonlinearity, amplitude, cfg.cfl_theta, None, "",
-        )[0]
-        for cfg in levels
+        _checked_dt(atoms, cfg.effective_nonlinearity, amplitude, cfg.cfl_theta, None, "")[0]
+        for cfg, atoms in zip(levels, level_atoms)
     )
     nsteps = max(1, math.ceil(base.duration / dt - 1e-9))
     dt = base.duration / nsteps
-    trajectories = [run(replace(cfg, dt=dt))[0] for cfg in levels]
+    trajectories = [_run(replace(cfg, dt=dt), atoms)[0] for cfg, atoms in zip(levels, level_atoms)]
 
     coords = grid.coordinates()
     ball = np.sqrt(np.sum(coords * coords, axis=1)) <= 0.5 * grid.halfwidth
@@ -519,11 +525,8 @@ def oleinik_report(
     grid = pa.grid
     if pb.grid != grid or not np.array_equal(pa.times, pb.times):
         raise ValueError("trajectories must share grid and time levels")
-    if isinstance(measure, (AtomMeasure, KernelField)):
-        if measure.grid != grid:
-            raise ValueError("measure lives on a different grid")
-    else:
-        raise TypeError(f"expected AtomMeasure or KernelField, got {type(measure).__name__}")
+    if measure.grid != grid:
+        raise ValueError("measure lives on a different grid")
 
     dt = pa.dt
     hN = grid.cell_volume
@@ -532,22 +535,12 @@ def oleinik_report(
     diff_flux = spec.value(pa.frames[:nsteps]) - spec.value(pb.frames[:nsteps])
     integral = dt * hN * float(np.sum(diff_state * diff_flux))
 
-    boxes = diff_flux.reshape((nsteps,) + grid.shape)
-    axes = tuple(range(1, grid.dims + 1))
-    offsets = measure.offsets
     tail_sq = 0.0
     point_sq = 0.0
-    for k in range(offsets.shape[0]):
-        shift = (0,) + tuple(-int(o) for o in offsets[k])
-        delta = (np.roll(boxes, shift, axis=(0,) + axes) - boxes).reshape(nsteps, -1)
-        tail_profile = (delta.sum(axis=0) * dt) ** 2
-        point_profile = (delta * delta).sum(axis=0) * dt * dt
-        if isinstance(measure, AtomMeasure):
-            tail_sq += measure.weights[k] * float(tail_profile.sum())
-            point_sq += measure.weights[k] * float(point_profile.sum())
-        else:
-            tail_sq += float(np.dot(measure.weights[:, k], tail_profile))
-            point_sq += float(np.dot(measure.weights[:, k], point_profile))
+    for k in range(measure.offsets.shape[0]):
+        delta = translated(diff_flux, grid, measure.offsets[k]) - diff_flux
+        tail_sq += measure.weighted_sum(k, (delta.sum(axis=0) * dt) ** 2)
+        point_sq += measure.weighted_sum(k, (delta * delta).sum(axis=0) * dt * dt)
     tail_sq *= 0.25 * hN
     point_sq *= 0.25 * hN
 

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from nonlocal_pme import (
     Grid,
     GridFunction,
+    KernelField,
     LevyMeasureSpec,
+    NonlinearitySpec,
     PathFunction,
-    TruncatedOperator,
     apply_truncated,
     bilinear,
     density_approximation,
+    oleinik_report,
     parabolic_bilinear,
     parabolic_seminorm,
     shrink_clamp,
@@ -57,14 +59,47 @@ def test_bilinear_matches_brute_force():
     assert got == pytest.approx(brute_bilinear(atoms, fv, gv), rel=1e-12)
 
 
+def test_position_dependent_forms_match_brute_force():
+    # 2-D, weights depending on x: plain loops over points and atoms with the
+    # weight of jump z taken at the departure point x, not at x + z
+    grid = Grid(dims=2, points_per_axis=6, halfwidth=3.0)
+    base = truncate_and_atomize(LevyMeasureSpec.fractional(1.0, dims=2), grid, 1.0, 2.0)
+    m, n = grid.points_per_axis, grid.npoints
+    rng = np.random.default_rng(13)
+    scaled = KernelField.scaled(base, GridFunction(grid, rng.uniform(0.5, 2.0, n)))
+    spec = NonlinearitySpec.pme(2.0)
+    a = PathFunction.from_frames(grid, rng.standard_normal((4, n)), duration=1.0)
+    b = PathFunction.from_frames(grid, rng.standard_normal((4, n)), duration=1.0)
+    flux = [spec.value(a.frames[t]) - spec.value(b.frames[t]) for t in range(a.nsteps)]
+    fv, gv = rng.standard_normal(n), rng.standard_normal(n)
+    # a field with independent weights per (x, z) too, where x versus x + z matters
+    for field in (scaled, KernelField(grid, base, rng.uniform(0.0, 1.0, (n, base.natoms)))):
+        form = tail = point = 0.0
+        for k, (z0, z1) in enumerate(field.offsets.tolist()):
+            for i in range(m):
+                for j in range(m):
+                    x = i * m + j
+                    y = ((i + z0) % m) * m + (j + z1) % m
+                    w = field.weights[x, k]
+                    form += w * (fv[y] - fv[x]) * (gv[y] - gv[x])
+                    jumps = [a.dt * (f[y] - f[x]) for f in flux]
+                    tail += w * sum(jumps) ** 2
+                    point += w * sum(d * d for d in jumps)
+        hN = grid.cell_volume
+        got = bilinear(field, GridFunction(grid, fv), GridFunction(grid, gv))
+        assert got == pytest.approx(0.5 * hN * form, rel=1e-12)
+        rep = oleinik_report(a, b, spec, field)
+        assert rep.tail_square == pytest.approx(0.25 * hN * tail, rel=1e-12)
+        assert rep.pointwise_square == pytest.approx(0.25 * hN * point, rel=1e-12)
+
+
 def test_summation_by_parts():
     grid, atoms = make_atoms()
-    op = TruncatedOperator(atoms)
     rng = np.random.default_rng(11)
     for _ in range(10):
         f = GridFunction(grid, rng.standard_normal(grid.npoints))
         g = GridFunction(grid, rng.standard_normal(grid.npoints))
-        pairing = grid.cell_volume * float(np.dot(g.values, apply_truncated(op, f).values))
+        pairing = grid.cell_volume * float(np.dot(g.values, apply_truncated(atoms, f).values))
         energy = bilinear(atoms, f, g)
         assert pairing == pytest.approx(-energy, rel=1e-12, abs=1e-12 * max(1.0, abs(energy)))
 

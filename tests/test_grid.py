@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonlocal_pme import Grid, GridFunction, lp_norm, mass, shift
+from nonlocal_pme.grid import translated
 
 
 def test_nodes_are_cell_centered():
@@ -90,3 +91,32 @@ def test_shift_is_an_isometry(values, offset, order):
     f = GridFunction(grid, np.asarray(values))
     # equality up to summation order
     assert lp_norm(shift(f, offset), order) == pytest.approx(lp_norm(f, order), rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_translated_matches_index_arithmetic(data):
+    # reference: the value at multi-index i comes from (i + j) mod M, found by
+    # explicit index arithmetic; distinct values pin the whole permutation
+    dims = data.draw(st.integers(min_value=1, max_value=3))
+    m = data.draw(st.integers(min_value=1, max_value=5))
+    lead = data.draw(st.sampled_from([(), (1,), (2,), (3, 2)]))
+    offset = data.draw(
+        st.lists(st.integers(min_value=-3 * m, max_value=3 * m), min_size=dims, max_size=dims)
+    )
+    grid = Grid(dims=dims, points_per_axis=m, halfwidth=1.0)
+    count = int(np.prod(lead, dtype=np.int64)) * grid.npoints
+    values = np.arange(count, dtype=np.float64).reshape(lead + (grid.npoints,))
+    index = np.indices(grid.shape).reshape(dims, -1)
+    source = np.ravel_multi_index(
+        tuple((index[a] + offset[a]) % m for a in range(dims)), grid.shape
+    )
+    got = translated(values, grid, offset)
+    assert got.shape == values.shape
+    np.testing.assert_array_equal(got, values[..., source])
+
+
+def test_translated_rejects_a_wrong_offset_length():
+    grid = Grid(dims=2, points_per_axis=4, halfwidth=1.0)
+    with pytest.raises(ValueError):
+        translated(np.zeros(16), grid, (1,))

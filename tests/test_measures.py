@@ -136,6 +136,25 @@ def test_kernel_field_symmetry_defect():
     assert averaged.symmetry_defect() <= 1e-15
 
 
+def test_symmetrized_scaling_by_hand():
+    # jumps of +-2 cells with weight 1/2 each and a scale that is 1 at node 3
+    # only: w(x, z) = (s(x) + s(x + z)) / 2 * 1/2 is 1/4 exactly where x or
+    # x + z is node 3, and 0 elsewhere
+    grid = Grid(dims=1, points_per_axis=8, halfwidth=4.0)
+    spec = LevyMeasureSpec.atomic([((2.0,), 0.5), ((-2.0,), 0.5)], dims=1)
+    base = truncate_and_atomize(spec, grid, 1.0, 4.0)
+    plus = int(np.flatnonzero(base.offsets[:, 0] == 2)[0])
+    minus = int(np.flatnonzero(base.offsets[:, 0] == -2)[0])
+    field = KernelField.symmetrized_scaled(base, GridFunction(grid, np.eye(8)[3]))
+    want_plus = np.zeros(8)
+    want_plus[[1, 3]] = 0.25  # x = 1 reaches node 3; x = 3 is node 3
+    want_minus = np.zeros(8)
+    want_minus[[3, 5]] = 0.25  # x = 5 reaches node 3 backwards
+    np.testing.assert_array_equal(field.weights[:, plus], want_plus)
+    np.testing.assert_array_equal(field.weights[:, minus], want_minus)
+    assert field.symmetry_defect() == 0.0
+
+
 def test_shift_bound_ratio_of_scaled_field():
     spec = LevyMeasureSpec.fractional(1.0, dims=1)
     grid = Grid(dims=1, points_per_axis=32, halfwidth=4.0)

@@ -8,7 +8,6 @@ from nonlocal_pme import (
     Grid,
     GridFunction,
     LevyMeasureSpec,
-    TruncatedOperator,
     apply_compensated,
     apply_truncated,
     fourier_fractional,
@@ -25,29 +24,29 @@ def two_cell_operator():
     # is open at r, so a kept jump must be strictly longer than r >= h
     grid = Grid(dims=1, points_per_axis=8, halfwidth=4.0)
     spec = LevyMeasureSpec.atomic([((2.0,), 0.5), ((-2.0,), 0.5)], dims=1)
-    return TruncatedOperator(truncate_and_atomize(spec, grid, 1.0, 4.0))
+    return truncate_and_atomize(spec, grid, 1.0, 4.0)
 
 
 def test_stencil_by_hand():
-    op = two_cell_operator()
-    f = GridFunction(op.grid, np.eye(8)[0])
+    atoms = two_cell_operator()
+    f = GridFunction(atoms.grid, np.eye(8)[0])
     want = [-1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0]
-    np.testing.assert_array_equal(apply_truncated(op, f).values, want)
+    np.testing.assert_array_equal(apply_truncated(atoms, f).values, want)
 
 
 def test_constants_are_annihilated_exactly():
     grid = Grid(dims=1, points_per_axis=64, halfwidth=8.0)
     spec = LevyMeasureSpec.fractional(1.0, dims=1)
-    op = TruncatedOperator.from_spec(spec, grid, 0.25, 4.0)
+    atoms = truncate_and_atomize(spec, grid, 0.25, 4.0)
     f = GridFunction(grid, np.full(64, 3.7))
-    assert np.all(apply_truncated(op, f).values == 0.0)
+    assert np.all(apply_truncated(atoms, f).values == 0.0)
 
 
 def test_operator_report_defects_are_tiny():
     grid = Grid(dims=1, points_per_axis=128, halfwidth=8.0)
     spec = LevyMeasureSpec.fractional(1.5, dims=1)
-    op = TruncatedOperator.from_spec(spec, grid, 0.125, 4.0)
-    rep = operator_report(op, samples=20, seed=3)
+    atoms = truncate_and_atomize(spec, grid, 0.125, 4.0)
+    rep = operator_report(atoms, samples=20, seed=3)
     tol = 1e-12 * rep.scale
     assert rep.symmetry_defect <= tol
     assert rep.row_sum_defect <= tol
@@ -62,7 +61,7 @@ def test_cosine_modes_are_eigenvectors():
     atoms = truncate_and_atomize(spec, grid, 0.25, 4.0)
     xi = 2.0 * np.pi * 3 / 16.0
     f = GridFunction(grid, np.cos(xi * grid.axis_coordinates()))
-    lf = apply_truncated(TruncatedOperator(atoms), f)
+    lf = apply_truncated(atoms, f)
     symbol = float(np.sum(atoms.weights * (1.0 - np.cos(xi * atoms.offsets[:, 0] * grid.spacing))))
     assert symbol > 0
     np.testing.assert_allclose(lf.values, -symbol * f.values, atol=1e-12 * symbol)
@@ -97,7 +96,7 @@ def test_zero_near_field_reduces_to_truncated():
     rng = np.random.default_rng(0)
     f = GridFunction(grid, rng.standard_normal(64))
     np.testing.assert_array_equal(
-        apply_compensated(op, f).values, apply_truncated(TruncatedOperator(atoms), f).values
+        apply_compensated(op, f).values, apply_truncated(atoms, f).values
     )
 
 

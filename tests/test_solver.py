@@ -13,7 +13,6 @@ from nonlocal_pme import (
     NonlinearitySpec,
     PathFunction,
     SolverConfig,
-    TruncatedOperator,
     cfl_dt,
     convergence_study,
     energy_budget,
@@ -69,18 +68,16 @@ def test_cfl_bound_by_hand():
 
 def test_step_by_hand():
     grid, atoms = two_cell_atoms()
-    op = TruncatedOperator(atoms)
     u = GridFunction(grid, np.eye(8)[0])
-    out = step(u, op, NonlinearitySpec.linear(), 0.5)
+    out = step(u, atoms, NonlinearitySpec.linear(), 0.5)
     np.testing.assert_array_equal(out.values, [0.5, 0.0, 0.25, 0.0, 0.0, 0.0, 0.25, 0.0])
 
 
 def test_step_refuses_oscillatory_dt():
     grid, atoms = two_cell_atoms()
-    op = TruncatedOperator(atoms)
     u = GridFunction(grid, np.eye(8)[0])
     with pytest.raises(AssumptionError, match="oscillatory"):
-        step(u, op, NonlinearitySpec.linear(), 0.75)
+        step(u, atoms, NonlinearitySpec.linear(), 0.75)
 
 
 def test_run_reports_no_violations_and_conserves_mass():
@@ -236,6 +233,14 @@ def test_convergence_study_validation():
         convergence_study(config, [0.5, 0.25, 0.5], [1, 2, 3])
     with pytest.raises(ValueError):
         convergence_study(config, [0.5, 0.25, 0.125], [1, 2, 2])
+
+
+def test_convergence_study_atomizes_each_level_once(monkeypatch):
+    atomized = _count_calls(monkeypatch, "truncate_and_atomize", measures)
+    radii = (0.5, 0.25, 0.125)
+    study = convergence_study(gaussian_config(duration=0.05), radii, (1, 2, 3))
+    assert len(atomized) == len(radii)
+    assert [t.atoms.truncation_radius for t in study.trajectories] == list(radii)
 
 
 def test_oleinik_identical_pair_vanishes():
