@@ -49,12 +49,13 @@ def main() -> None:
 
     config = build_config(args.points, args.exponent, args.theta)
     traj, diag = run(config)
-    print(f"{len(diag.times) - 1} steps of dt = {diag.times[1] - diag.times[0]:.5f}")
+    times = diag.budget.times
+    print(f"{len(times) - 1} steps of dt = {times[1] - times[0]:.5f}")
 
     print(f"{'t':>8} {'mass':>12} {'L1':>10} {'L2':>10} {'L4':>10} {'Linf':>10}")
-    stride = max(1, (len(diag.times) - 1) // 8)
-    for k in range(0, len(diag.times), stride):
-        print(f"{diag.times[k]:8.4f} {diag.masses[k]:12.9f}"
+    stride = max(1, (len(times) - 1) // 8)
+    for k in range(0, len(times), stride):
+        print(f"{times[k]:8.4f} {diag.masses[k]:12.9f}"
               f" {diag.norms[1.0][k]:10.6f} {diag.norms[2.0][k]:10.6f}"
               f" {diag.norms[4.0][k]:10.6f} {diag.norms[np.inf][k]:10.6f}")
 

@@ -329,7 +329,7 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
     refinement = None
     ref_body = _section(raw, "refinement", {"r", "n"}, set())
     if ref_body:
-        if set(ref_body) != {"r", "n"}:
+        if not all(isinstance(ref_body.get(key), list) for key in ("r", "n")):
             raise ConfigError("refinement needs both r and n lists")
         radii = tuple(_positive(v, "refinement.r entry") for v in ref_body["r"])
         indices = tuple(_nonneg_int(v, "refinement.n entry") for v in ref_body["n"])

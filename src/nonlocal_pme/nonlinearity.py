@@ -139,58 +139,14 @@ class NonlinearitySpec:
         out[inside] = slopes[idx[inside]]
         return out
 
-    # -- smoothed map ----------------------------------------------------------
-
-    def _convolved(self, u: np.ndarray) -> np.ndarray:
-        n = float(self.mollification_index)
-        shifted = u[..., None] - _VALUE_NODES / n
-        flat = self.raw_value(shifted.reshape(-1)).reshape(shifted.shape)
-        return flat @ _VALUE_WEIGHTS
-
-    def value(self, u: np.ndarray | float) -> np.ndarray:
-        """The map in effect: the raw map, or its bump average re-anchored.
-
-        The anchor subtraction makes value(0) exactly zero in floating point,
-        and the bit-symmetric quadrature weights leave affine maps fixed.
-        """
-        u = np.asarray(u, dtype=np.float64)
-        if self.mollification_index == 0:
-            return self.raw_value(u)
-        return self._convolved(u) - self._convolved(np.zeros(()))
-
-    def derivative(self, u: np.ndarray | float) -> np.ndarray:
-        """Slope of the map in effect.
-
-        The smoothed slope is the convolution against the scaled derivative
-        of the bump, not a finite difference, so it is exact on affine maps
-        and safe to feed to step-size bounds.
-        """
-        u = np.asarray(u, dtype=np.float64)
-        if self.mollification_index == 0:
-            return self.raw_derivative(u)
-        n = float(self.mollification_index)
-        shifted = u[..., None] - _SLOPE_NODES / n
-        flat = self.raw_value(shifted.reshape(-1)).reshape(shifted.shape)
-        return n * (flat @ _SLOPE_WEIGHTS)
-
-    def primitive(self, w: np.ndarray | float) -> np.ndarray:
-        """Antiderivative from 0 of the map in effect; nonnegative and convex.
-
-        Closed forms for the raw kinds, composite Gauss-Legendre accumulation
-        for smoothed maps.
-        """
-        w = np.asarray(w, dtype=np.float64)
-        if self.mollification_index > 0:
-            return _cumulative_integral(self.value, w)
+    def _raw_primitive(self, w: np.ndarray) -> np.ndarray:
+        """Closed-form antiderivative from 0 of the raw map."""
         if self.kind == "linear":
             return 0.5 * w * w
         if self.kind == "pme":
             return np.abs(w) ** (self.exponent + 1.0) / (self.exponent + 1.0)
         if self.kind == "stefan":
             return 0.5 * np.maximum(np.abs(w) - self.latent_width, 0.0) ** 2
-        return self._table_primitive(w)
-
-    def _table_primitive(self, w: np.ndarray) -> np.ndarray:
         knots = np.asarray(self.knots, dtype=np.float64)
         phi_at = self.raw_value(knots)
         slopes = (phi_at[1:] - phi_at[:-1]) / np.diff(knots)
@@ -213,6 +169,62 @@ class NonlinearitySpec:
 
         return anti(w) - anti(np.zeros(()))
 
+    # -- smoothed map ----------------------------------------------------------
+
+    def _averaged(
+        self,
+        raw: Callable[[np.ndarray], np.ndarray],
+        u: np.ndarray,
+        nodes: np.ndarray = _VALUE_NODES,
+        weights: np.ndarray = _VALUE_WEIGHTS,
+    ) -> np.ndarray:
+        """The bump sum  sum_i weights_i * raw(u - nodes_i / n)."""
+        n = float(self.mollification_index)
+        shifted = u[..., None] - nodes / n
+        flat = raw(shifted.reshape(-1)).reshape(shifted.shape)
+        return flat @ weights
+
+    def value(self, u: np.ndarray | float) -> np.ndarray:
+        """The map in effect: the raw map, or its bump average re-anchored.
+
+        The anchor subtraction makes value(0) exactly zero in floating point,
+        and the bit-symmetric quadrature weights leave affine maps fixed.
+        """
+        u = np.asarray(u, dtype=np.float64)
+        if self.mollification_index == 0:
+            return self.raw_value(u)
+        return self._averaged(self.raw_value, u) - self._averaged(self.raw_value, np.zeros(()))
+
+    def derivative(self, u: np.ndarray | float) -> np.ndarray:
+        """Slope of the map in effect.
+
+        The smoothed slope is the convolution against the scaled derivative
+        of the bump, not a finite difference, so it is exact on affine maps
+        and safe to feed to step-size bounds.
+        """
+        u = np.asarray(u, dtype=np.float64)
+        if self.mollification_index == 0:
+            return self.raw_derivative(u)
+        n = float(self.mollification_index)
+        return n * self._averaged(self.raw_value, u, _SLOPE_NODES, _SLOPE_WEIGHTS)
+
+    def primitive(self, w: np.ndarray | float) -> np.ndarray:
+        """Antiderivative from 0 of the map in effect; nonnegative and convex.
+
+        Exact for the map in effect: the closed form for a raw map; for a
+        smoothed map, the bump sum of value taken over the closed-form raw
+        antiderivative, less the anchor that value subtracts.
+        """
+        w = np.asarray(w, dtype=np.float64)
+        if self.mollification_index == 0:
+            return self._raw_primitive(w)
+        zero = np.zeros(())
+        return (
+            self._averaged(self._raw_primitive, w)
+            - self._averaged(self._raw_primitive, zero)
+            - self._averaged(self.raw_value, zero) * w
+        )
+
 
 def _segment_edges(wmax: float, segments: int, grade: float | None) -> np.ndarray:
     if grade is None or grade <= 0.0 or grade >= wmax / segments:
@@ -230,6 +242,8 @@ def _cumulative_integral(
     grade: float | None = None,
 ) -> np.ndarray:
     """Integral of func from 0 to each entry of w, composite 16-point GL.
+
+    Serves the companion map, whose integrand has no closed antiderivative.
 
     Segment edges run from 0 out to the largest query magnitude on each sign,
     geometrically graded toward 0 when grade is given (this resolves

@@ -107,8 +107,8 @@ class Trajectory:
 
     atoms is the measure the scheme stepped with, and budget the energy
     balance built from the frame energies and flux squares of those steps;
-    energy_budget and lp_budget reuse both instead of re-atomizing the
-    measure or re-applying the operator.
+    the diagnostics hold that same budget, and lp_budget applies the
+    operator with those atoms instead of re-atomizing the measure.
     """
 
     path: PathFunction
@@ -121,23 +121,18 @@ class Trajectory:
 class DiagnosticsReport:
     """Per-frame conserved/decaying quantities and any violation flags.
 
-    The energy columns are those of the run's EnergyBudgetReport.
+    budget is the run's EnergyBudgetReport (the same object as the
+    trajectory's); its times index the frames.
     """
 
-    times: np.ndarray
+    budget: EnergyBudgetReport
     masses: np.ndarray
     norms: dict[float, np.ndarray]
-    phi_integrals: np.ndarray
-    cumulative_energy: np.ndarray
-    residuals: np.ndarray
-    residual_bounds: np.ndarray
     violation_flags: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        rows = self.times.shape[0]
-        arrays = [self.masses, self.phi_integrals, self.cumulative_energy,
-                  self.residuals, self.residual_bounds, *self.norms.values()]
-        if any(a.shape != (rows,) for a in arrays):
+        rows = self.budget.times.shape[0]
+        if any(a.shape != (rows,) for a in (self.masses, *self.norms.values())):
             raise ValueError("diagnostic columns must have one row per frame")
 
 
@@ -315,22 +310,7 @@ def _diagnose(traj: Trajectory, frame_energy: np.ndarray) -> DiagnosticsReport:
             f"(roundoff allowance {budget.roundoff_allowance:.3e})"
         )
 
-    return DiagnosticsReport(
-        times=path.times.copy(),
-        masses=masses,
-        norms=norms,
-        phi_integrals=budget.phi_integrals,
-        cumulative_energy=budget.cumulative_energy,
-        residuals=budget.residuals,
-        residual_bounds=budget.residual_bounds,
-        violation_flags=tuple(flags),
-    )
-
-
-def energy_budget(traj: Trajectory) -> EnergyBudgetReport:
-    """The energy balance of a trajectory: the one run recorded from its own
-    step loop, so nothing is re-atomized or re-stepped."""
-    return traj.budget
+    return DiagnosticsReport(budget=budget, masses=masses, norms=norms, violation_flags=tuple(flags))
 
 
 def energy_budget_pair(config: SolverConfig) -> tuple[EnergyBudgetReport, EnergyBudgetReport, float]:
@@ -338,10 +318,8 @@ def energy_budget_pair(config: SolverConfig) -> tuple[EnergyBudgetReport, Energy
     reports and the ratio of their largest residuals (first-order scheme:
     expect about 2)."""
     coarse_traj, _ = run(config)
-    fine_config = replace(config, dt=0.5 * coarse_traj.path.dt)
-    fine_traj, _ = run(fine_config)
-    coarse = energy_budget(coarse_traj)
-    fine = energy_budget(fine_traj)
+    fine_traj, _ = run(replace(config, dt=0.5 * coarse_traj.path.dt))
+    coarse, fine = coarse_traj.budget, fine_traj.budget
     if fine.max_abs_residual == 0.0:
         ratio = _INF if coarse.max_abs_residual > 0 else 1.0
     else:
@@ -566,6 +544,7 @@ def write_diagnostics_csv(report: DiagnosticsReport, destination: str | Path) ->
     """One row per frame: t, mass, each configured norm, antiderivative
     integral, cumulative energy, residual, residual bound."""
     orders = sorted(report.norms, key=lambda p: (p == _INF, p))
+    budget = report.budget
     header = (
         ["t", "mass"]
         + [_norm_label(p) for p in orders]
@@ -574,14 +553,14 @@ def write_diagnostics_csv(report: DiagnosticsReport, destination: str | Path) ->
     with open(destination, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for k in range(report.times.shape[0]):
-            row = [report.times[k], report.masses[k]]
+        for k in range(budget.times.shape[0]):
+            row = [budget.times[k], report.masses[k]]
             row += [report.norms[p][k] for p in orders]
             row += [
-                report.phi_integrals[k],
-                report.cumulative_energy[k],
-                report.residuals[k],
-                report.residual_bounds[k],
+                budget.phi_integrals[k],
+                budget.cumulative_energy[k],
+                budget.residuals[k],
+                budget.residual_bounds[k],
             ]
             writer.writerow([f"{x:.17g}" for x in row])
 
@@ -628,7 +607,7 @@ def write_summary_json(
         "final_time": float(traj.path.times[-1]),
         "mass_drift": float(np.max(np.abs(report.masses - report.masses[0]))),
         "final_norms": norms_final,
-        "max_abs_residual": float(np.max(np.abs(report.residuals))),
+        "max_abs_residual": report.budget.max_abs_residual,
         "violation_flags": list(report.violation_flags),
         "seed": seed,
     }

@@ -155,6 +155,15 @@ def test_convergence_without_refinement_is_a_usage_error(tmp_path, capsys):
     assert "refinement" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "refinement", [{"r": 0.5, "n": [1, 2, 3]}, {"r": [0.5, 0.25, 0.125], "n": 3}]
+)
+def test_refinement_entries_must_be_lists(tmp_path, capsys, refinement):
+    path = write_config(tmp_path, base_config(refinement=refinement))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "refinement needs both r and n lists" in capsys.readouterr().err
+
+
 def test_convergence_needs_three_levels(tmp_path):
     config = base_config(refinement={"r": [0.5, 0.25], "n": [1, 2]})
     assert main(["convergence", "--config", write_config(tmp_path, config), "--quiet"]) == 2

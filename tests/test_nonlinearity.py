@@ -18,6 +18,7 @@ from nonlocal_pme import (
     hoelder_certificate,
     lipschitz_bound,
     lp_companion,
+    nonlinearity,
     stroock_varopoulos_gap,
     truncate_and_atomize,
 )
@@ -112,19 +113,38 @@ def test_primitive_of_table_matches_quadrature():
         assert float(tbl.primitive(np.array([w]))[0]) == pytest.approx(want, abs=1e-12)
 
 
-def test_primitive_of_smoothed_map_matches_quadrature():
-    spec = NonlinearitySpec.pme(2.0, mollification_index=16)
-    for w in (0.7, -1.3):
-        want, err = integrate.quad(
-            lambda s: float(spec.value(np.array([s]))[0]),
-            0.0,
-            w,
-            epsabs=1e-13,
-            epsrel=1e-13,
-            limit=200,
-        )
-        assert err < 1e-11
-        assert float(spec.primitive(np.array([w]))[0]) == pytest.approx(want, abs=1e-10)
+def test_primitive_of_smoothed_map_matches_quadrature(monkeypatch):
+    # The reference integrates value piecewise between its kinks: each raw
+    # kink shifted by every bump node / n.
+    knots = [-1.0, 0.0, 1.0, 2.0]
+    cases = [
+        (NonlinearitySpec.pme(2.0, mollification_index=16), [0.0]),
+        (NonlinearitySpec.pme(0.5, mollification_index=2), [0.0]),
+        (NonlinearitySpec.stefan(0.3, mollification_index=3), [-0.3, 0.3]),
+        (NonlinearitySpec.table(knots, [-2.0, 0.0, 0.5, 3.0], mollification_index=4), knots),
+    ]
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a smoothed primitive must not run a quadrature")
+
+    monkeypatch.setattr(nonlinearity, "_cumulative_integral", no_quadrature)
+    for spec, raw_kinks in cases:
+        n = spec.mollification_index
+        kinks = np.unique(np.add.outer(raw_kinks, nonlinearity._VALUE_NODES / n))
+        for w in (0.7, -1.3):
+            lo, hi = min(0.0, w), max(0.0, w)
+            edges = np.concatenate([[lo], kinks[(kinks > lo) & (kinks < hi)], [hi]])
+            want = err = 0.0
+            for a, b in zip(edges[:-1], edges[1:]):
+                piece, piece_err = integrate.quad(
+                    lambda s: float(spec.value(np.array([s]))[0]), a, b, epsabs=1e-14, epsrel=1e-12
+                )
+                want += piece
+                err += piece_err
+            want *= np.sign(w)
+            assert err < 1e-12 * abs(want)
+            got = float(spec.primitive(np.array([w]))[0])
+            assert got == pytest.approx(want, rel=1e-12), (spec.kind, n, w)
 
 
 def test_power_entropy_spot_values():

@@ -15,7 +15,6 @@ from nonlocal_pme import (
     SolverConfig,
     cfl_dt,
     convergence_study,
-    energy_budget,
     energy_budget_pair,
     lipschitz_bound,
     lp_budget,
@@ -103,7 +102,7 @@ def test_explicit_dt_above_bound_is_rejected_with_the_bound():
 
 def test_energy_budget_enclosure():
     traj, _ = run(gaussian_config())
-    budget = energy_budget(traj)
+    budget = traj.budget
     assert budget.enclosure_ok
     fp_slack = 1e-10 * (1.0 + np.max(np.abs(budget.residuals)))
     assert np.all(budget.residuals >= -fp_slack)
@@ -172,7 +171,7 @@ def test_budgets_reuse_the_run_record(monkeypatch):
     atomized = _count_calls(monkeypatch, "truncate_and_atomize", measures)
     applied = _count_calls(monkeypatch, "_apply_atoms", operators)
 
-    budget = energy_budget(traj)
+    budget = traj.budget
     assert atomized == [] and applied == []
     for p in (1.0, 2.0, 4.0, np.inf):
         lp_budget(traj, p)
@@ -183,7 +182,7 @@ def test_budgets_reuse_the_run_record(monkeypatch):
     for name, value in expected.items():
         assert np.array_equal(getattr(budget, name), value), name
     for name in ("phi_integrals", "cumulative_energy", "residuals", "residual_bounds"):
-        assert np.array_equal(getattr(report, name), expected[name]), name
+        assert np.array_equal(getattr(report.budget, name), expected[name]), name
 
 
 @pytest.mark.parametrize("order", [1.0, 2.0, 4.0, np.inf])
@@ -300,7 +299,7 @@ def test_diagnostics_csv_and_summary_json(tmp_path):
     write_diagnostics_csv(report, csv_path)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].split(",")[:3] == ["t", "mass", "l1"]
-    assert len(lines) == 1 + report.times.shape[0]
+    assert len(lines) == 1 + report.budget.times.shape[0]
 
     json_path = tmp_path / "summary.json"
     write_summary_json(traj, report, json_path, seed=42)
