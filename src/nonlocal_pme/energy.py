@@ -32,6 +32,7 @@ from scipy import ndimage
 from .bump import discrete_bump_kernel, smoothstep_down, standard_bump
 from .grid import Grid, GridFunction, translated
 from .measures import AtomMeasure, KernelField, normalization_multiplier
+from .operators import grid_frequencies
 
 
 @dataclass(frozen=True)
@@ -113,29 +114,41 @@ class PathFunction:
         return PathFunction(self.grid, self.times, func(self.frames))
 
 
-def bilinear(measure: AtomMeasure | KernelField, f: GridFunction, g: GridFunction) -> float:
-    """(1/2) h^N sum over points and atoms of w * (difference of f)(difference of g)."""
+def _jump_form(measure: AtomMeasure | KernelField, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(1/2) h^N sum_x sum_k w_k(x) (f(x+z_k) - f(x)) (g(x+z_k) - g(x)).
+
+    f and g are value arrays of the same shape with the flat grid on the last
+    axis; the form is taken once for each leading (frame) index, with one
+    shift of the stacked pair per atom (of f alone when g is f).
+    """
     grid = measure.grid
-    if f.grid != grid or g.grid != grid:
-        raise ValueError("function grids do not match the measure's grid")
-    pair = np.stack([f.values, g.values])
-    total = 0.0
-    for k in range(measure.offsets.shape[0]):
-        df, dg = translated(pair, grid, measure.offsets[k]) - pair
-        total += measure.weighted_sum(k, df * dg)
+    stack = f[None] if g is f else np.stack([f, g])
+    total = np.zeros(stack.shape[1:-1])
+    for k, offset in enumerate(measure.offsets):
+        jumps = translated(stack, grid, offset) - stack
+        total += measure.weighted_sum(k, jumps[0] * jumps[-1])
     return 0.5 * grid.cell_volume * total
+
+
+def bilinear(measure: AtomMeasure | KernelField, f: GridFunction, g: GridFunction) -> float:
+    """(1/2) h^N sum over points and atoms of w * (difference of f)(difference of g),
+    the one-frame case of the jump-difference form."""
+    if f.grid != measure.grid or g.grid != measure.grid:
+        raise ValueError("function grids do not match the measure's grid")
+    return float(_jump_form(measure, f.values, g.values))
 
 
 def parabolic_bilinear(
     measure: AtomMeasure | KernelField, f: PathFunction, g: PathFunction
 ) -> float:
-    """Left-endpoint time quadrature of the frame-wise bilinear form."""
+    """Left-endpoint time quadrature dt * sum_{k<K} B[f(t_k), g(t_k)], with the
+    forms of all frames but the last taken in one stacked call."""
     if f.grid != g.grid or f.times.shape != g.times.shape or not np.array_equal(f.times, g.times):
         raise ValueError("paths must share grid and time levels")
-    total = 0.0
-    for k in range(f.nsteps):
-        total += bilinear(measure, f.frame(k), g.frame(k))
-    return f.dt * total
+    if f.grid != measure.grid:
+        raise ValueError("function grids do not match the measure's grid")
+    head = f.frames[:-1]
+    return f.dt * float(_jump_form(measure, head, head if g is f else g.frames[:-1]).sum())
 
 
 def parabolic_seminorm(measure: AtomMeasure | KernelField, f: PathFunction) -> float:
@@ -165,10 +178,7 @@ def sobolev_seminorm_fourier(alpha: float, f: GridFunction) -> float:
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha!r}")
     grid = f.grid
-    freqs = [
-        2.0 * math.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
-        for _ in range(grid.dims)
-    ]
+    freqs = grid_frequencies(grid)
     mesh = np.meshgrid(*freqs, indexing="ij")
     xi_sq = sum(m**2 for m in mesh)
     spectrum = np.fft.fftn(f.reshaped())
@@ -177,24 +187,20 @@ def sobolev_seminorm_fourier(alpha: float, f: GridFunction) -> float:
     return math.sqrt(total * grid.cell_volume / grid.npoints)
 
 
-def sobolev_seminorm_direct(
-    alpha: float,
-    f: GridFunction,
-    near_radius: float | None = None,
-    far_radius: float | None = None,
-) -> float:
+def sobolev_seminorm_direct(alpha: float, f: GridFunction) -> float:
     """FFT-free fractional seminorm via the double-integral form (1-D only).
 
     Uses the normalized fractional density c |z|^(-1-alpha) and the identity
     energy = int (||f||^2 - C(z)) dmu(z) with the autocorrelation
     C(z) = int f(x) f(x+z) dx. Three ranges:
 
-    * |z| <= near_radius: second-order Taylor, (1/2) ||f'||^2 int z^2 dmu,
-      with a central-difference derivative;
-    * near_radius < |z| <= far_radius: piecewise-linear interpolation of the
-      grid autocorrelation integrated against the exact radial antiderivatives;
-    * |z| > far_radius: ||f||^2 times the analytic tail mass (the correlation
-      is negligible there for rapidly decaying f).
+    * |z| <= r0 = 2h: second-order Taylor, (1/2) ||f'||^2 int z^2 dmu, with
+      a central-difference derivative;
+    * r0 < |z| <= r1 = min(R - h, 3R/4): piecewise-linear interpolation of
+      the grid autocorrelation integrated against the exact radial
+      antiderivatives;
+    * |z| > r1: ||f||^2 times the analytic tail mass (the correlation is
+      negligible there for rapidly decaying f).
 
     The correlation is evaluated by direct zero-padded summation, so this
     route shares no machinery with sobolev_seminorm_fourier.
@@ -205,13 +211,9 @@ def sobolev_seminorm_direct(
     if grid.dims != 1:
         raise NotImplementedError("the double-integral route is implemented in 1-D")
     h = grid.spacing
-    if near_radius is None:
-        near_radius = 2.0 * h
-    if far_radius is None:
-        far_radius = min(grid.halfwidth - h, 0.75 * grid.halfwidth)
-    j_near = int(round(near_radius / h))
-    j_far = int(math.floor(far_radius / h))
-    if j_near < 1 or j_far <= j_near:
+    j_near = 2
+    j_far = int(math.floor(min(grid.halfwidth - h, 0.75 * grid.halfwidth) / h))
+    if j_far <= j_near:
         raise ValueError("radii leave no room for the band quadrature")
     near_radius = j_near * h
 
@@ -241,7 +243,7 @@ def sobolev_seminorm_direct(
     intercept = g_knots[:-1] - slope * z_lo
     band_term = 2.0 * float(np.sum(intercept * m0 + slope * m1))
 
-    # Far tail: correlation treated as zero beyond far_radius.
+    # Far tail: correlation treated as zero beyond r1.
     tail_mass = 2.0 * c / (alpha * (j_far * h) ** alpha)
     far_term = tail_mass * norm_sq
 

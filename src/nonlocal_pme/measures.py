@@ -313,9 +313,10 @@ class AtomMeasure:
         """Euclidean length |j h| of every atom's jump vector."""
         return np.sqrt(np.sum((self.offsets * self.grid.spacing) ** 2, axis=1))
 
-    def weighted_sum(self, k: int, profile: np.ndarray) -> float:
-        """sum_x w_k profile(x); the weight of atom k is the same at every x."""
-        return self.weights[k] * float(profile.sum())
+    def weighted_sum(self, k: int, profile: np.ndarray) -> np.ndarray:
+        """sum_x w_k profile(x) over the last (grid) axis, one value per
+        leading index; the weight of atom k is the same at every x."""
+        return self.weights[k] * profile.sum(axis=-1)
 
 
 def _symmetrize_weights(offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -534,9 +535,10 @@ class KernelField:
             worst = max(worst, float(np.max(np.abs(self.weights[:, k] - mirrored))))
         return worst
 
-    def weighted_sum(self, k: int, profile: np.ndarray) -> float:
-        """sum_x w_k(x) profile(x), with the weight of atom k taken at x."""
-        return float(np.dot(self.weights[:, k], profile))
+    def weighted_sum(self, k: int, profile: np.ndarray) -> np.ndarray:
+        """sum_x w_k(x) profile(x) over the last (grid) axis, one value per
+        leading index, with the weight of atom k taken at x."""
+        return np.dot(profile, self.weights[:, k])
 
 
 def shift_bound_ratio(kernel: KernelField) -> float:

@@ -18,13 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import PathFunction
-from .grid import Grid, GridFunction, lp_norms, translated
+from .energy import PathFunction, _jump_form
+from .grid import Grid, GridFunction, lp_norms
 from .measures import AssumptionError, AtomMeasure, KernelField, LevyMeasureSpec, truncate_and_atomize
 from .nonlinearity import NonlinearitySpec, lipschitz_bound, lp_companion
 from .operators import _apply_atoms
 
 _INF = float("inf")
+# The norms every run reports.
+_LP_ORDERS = (1.0, 2.0, 4.0, _INF)
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class SolverConfig:
     dt: float | None = None
     cfl_theta: float = 0.5
     tail_cutoff: float | None = None
-    lp_orders: tuple[float, ...] = (1.0, 2.0, 4.0, _INF)
 
     def __post_init__(self) -> None:
         if self.initial.grid != self.grid:
@@ -66,9 +67,6 @@ class SolverConfig:
             raise ValueError(f"mollification_index must be a nonnegative integer, got {n!r}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive when given, got {self.dt!r}")
-        for p in self.lp_orders:
-            if not p >= 1.0:
-                raise ValueError(f"norm orders must be >= 1, got {p!r}")
 
     @property
     def effective_nonlinearity(self) -> NonlinearitySpec:
@@ -281,10 +279,10 @@ def _diagnose(traj: Trajectory, frame_energy: np.ndarray) -> DiagnosticsReport:
     frames = path.frames
 
     masses = hN * frames.sum(axis=1)
-    norms = {p: lp_norms(frames, hN, p) for p in traj.config.lp_orders}
+    norms = {p: lp_norms(frames, hN, p) for p in _LP_ORDERS}
 
     flags: list[str] = []
-    l1_initial = norms[1.0][0] if 1.0 in norms else lp_norms(frames[0], hN, 1.0)
+    l1_initial = norms[1.0][0]
     drift = float(np.max(np.abs(masses - masses[0])))
     mass_tol = 1e-12 * max(l1_initial, 1e-300)
     if drift > mass_tol:
@@ -347,18 +345,22 @@ class LpBudgetReport:
     note: str = ""
 
 
-def lp_budget(traj: Trajectory, p: float, tolerance: float = 1e-10) -> LpBudgetReport:
-    """Check that the p-norm never increases, and for finite p > 1 with a
-    smoothed nonlinearity also accumulate the companion energy and the summed
-    decay inequality, applying the operator with the atoms the run stepped
-    with."""
+def lp_budget(traj: Trajectory, p: float) -> LpBudgetReport:
+    """Check that the p-norm never increases (to 1e-10 relative), and for
+    finite p > 1 with a smoothed nonlinearity also accumulate the companion
+    energy and the summed decay inequality.
+
+    The companion energy of frame k is the jump-difference form B[xi_k, xi_k]
+    of the companion map xi applied to the frame, with the atoms the run
+    stepped with; all frames but the last are taken in one stacked call.
+    """
     path = traj.path
     hN = path.grid.cell_volume
     frames = path.frames
     norms = lp_norms(frames, hN, p)
     increases = np.diff(norms)
     max_increase = float(np.max(increases, initial=0.0))
-    monotone = max_increase <= tolerance * (1.0 + float(norms[0]))
+    monotone = max_increase <= 1e-10 * (1.0 + float(norms[0]))
 
     min_values = None
     min_max_drop = None
@@ -372,14 +374,9 @@ def lp_budget(traj: Trajectory, p: float, tolerance: float = 1e-10) -> LpBudgetR
     spec = traj.config.effective_nonlinearity
     if p != _INF and p > 1.0:
         if spec.mollification_index >= 1:
-            companion = lp_companion(spec, p)
-            xi_frames = companion.value(frames)
-            dt = path.dt
-            energies = np.zeros(path.nsteps)
-            for k in range(path.nsteps):
-                xi = xi_frames[k]
-                energies[k] = -hN * float(np.dot(xi, _apply_atoms(traj.atoms, xi)))
-            companion_energy = np.concatenate([[0.0], np.cumsum(dt * energies)])
+            xi = lp_companion(spec, p).value(frames)[:-1]
+            energies = _jump_form(traj.atoms, xi, xi)
+            companion_energy = np.concatenate([[0.0], np.cumsum(path.dt * energies)])
             powers = hN * np.sum(np.abs(frames) ** p, axis=1)
             # Frame 0 has slack exactly zero by construction; the later frames
             # carry the information.
@@ -472,11 +469,13 @@ class OleinikReport:
     """Sign and balance data for the ordering functional of two evolutions.
 
     monotone_integral is the space-time integral of (u - v)(phi(u) - phi(v)),
-    nonnegative for any pair because the nonlinearity is nondecreasing.
-    tail_square and pointwise_square are the two quarter-square sums; their
-    difference balances the integral exactly when both trajectories follow
-    the same scheme from the same initial data, so balance_defect measures
-    scheme consistency rather than a new estimate.
+    nonnegative for any pair because the nonlinearity is nondecreasing. With
+    d^k = phi(u^k) - phi(v^k) and psi = dt sum_{k<K} d^k, tail_square is
+    B[psi, psi] / 2 and pointwise_square is (dt^2 / 2) sum_{k<K} B[d^k, d^k],
+    B the jump-difference form of the measure. Their difference balances the
+    integral exactly when both trajectories follow the same scheme from the
+    same initial data, so balance_defect measures scheme consistency rather
+    than a new estimate.
     """
 
     monotone_integral: float
@@ -495,7 +494,9 @@ def oleinik_report(
 ) -> OleinikReport:
     """Evaluate the ordering functional and its quarter-square decomposition.
 
-    Works for arbitrary same-shape path pairs; the balance defect is only
+    Both squares are jump-difference forms of the flux differences, one per
+    frame and one of their time sum, taken in a single stacked call. Works
+    for arbitrary same-shape path pairs; the balance defect is only
     meaningful when both follow the scheme from identical initial data.
     """
     pa = first.path if isinstance(first, Trajectory) else first
@@ -513,14 +514,10 @@ def oleinik_report(
     diff_flux = spec.value(pa.frames[:nsteps]) - spec.value(pb.frames[:nsteps])
     integral = dt * hN * float(np.sum(diff_state * diff_flux))
 
-    tail_sq = 0.0
-    point_sq = 0.0
-    for k in range(measure.offsets.shape[0]):
-        delta = translated(diff_flux, grid, measure.offsets[k]) - diff_flux
-        tail_sq += measure.weighted_sum(k, (delta.sum(axis=0) * dt) ** 2)
-        point_sq += measure.weighted_sum(k, (delta * delta).sum(axis=0) * dt * dt)
-    tail_sq *= 0.25 * hN
-    point_sq *= 0.25 * hN
+    flux_and_psi = np.vstack([diff_flux, dt * diff_flux.sum(axis=0)])
+    forms = _jump_form(measure, flux_and_psi, flux_and_psi)
+    tail_sq = 0.5 * float(forms[-1])
+    point_sq = 0.5 * dt * dt * float(forms[:-1].sum())
 
     initial_gap = hN * float(np.sum(np.abs(pa.frames[0] - pb.frames[0])))
     return OleinikReport(
@@ -597,7 +594,6 @@ def write_summary_json(
     report: DiagnosticsReport,
     destination: str | Path,
     seed: int | None = None,
-    extra: dict | None = None,
 ) -> None:
     """Machine-readable run summary: config echo, final norms, flags."""
     norms_final = {_norm_label(p): float(series[-1]) for p, series in report.norms.items()}
@@ -611,8 +607,6 @@ def write_summary_json(
         "violation_flags": list(report.violation_flags),
         "seed": seed,
     }
-    if extra:
-        payload.update(extra)
     with open(destination, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -1,13 +1,17 @@
-"""The benchmark's tracer must find every entry point it wraps.
+"""The benchmark's tracer and output checks must hold on the package.
 
-bench/tracing.py wraps library functions by name; a rename in the package
-would otherwise surface only when the benchmark runs with tracing on.
+bench/tracing.py wraps library functions by name, and bench/workloads.py
+checks every invocation against bench/reference.json; a rename, a dropped
+output key or a numerical drift would otherwise surface only when the
+benchmark runs.
 """
 
 import inspect
 from pathlib import Path
 
 import pytest
+
+from nonlocal_pme import cli
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -18,6 +22,14 @@ def tracing(monkeypatch):
     import tracing
 
     return tracing
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+
+    return workloads
 
 
 def _holders(tracing, owner, attribute, original):
@@ -45,3 +57,13 @@ def test_tracer_wraps_every_target_and_restores_it(tracing):
         for holder in holders:
             assert getattr(holder, attribute) is original, f"{attribute} not restored"
     assert tracing.cli._SUITE_RUNNERS == runners
+
+
+def test_every_workload_passes_its_reference_check(workloads, tmp_path):
+    reference = workloads.load_reference()
+    for name in workloads.WORKLOADS:
+        config = tmp_path / f"{name}.json"
+        outdir = tmp_path / name
+        workloads.write_config(name, 0, config)
+        code = cli.main(workloads.cli_argv(name, 0, config, outdir))
+        assert workloads.check(name, 0, outdir, code, reference) == [], name

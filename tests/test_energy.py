@@ -72,15 +72,21 @@ def test_position_dependent_forms_match_brute_force():
     b = PathFunction.from_frames(grid, rng.standard_normal((4, n)), duration=1.0)
     flux = [spec.value(a.frames[t]) - spec.value(b.frames[t]) for t in range(a.nsteps)]
     fv, gv = rng.standard_normal(n), rng.standard_normal(n)
-    # a field with independent weights per (x, z) too, where x versus x + z matters
-    for field in (scaled, KernelField(grid, base, rng.uniform(0.0, 1.0, (n, base.natoms)))):
+    # a field with independent weights per (x, z) too, where x versus x + z
+    # matters, and the constant-weight measure itself
+    noisy = KernelField(grid, base, rng.uniform(0.0, 1.0, (n, base.natoms)))
+    for field, weights in (
+        (base, KernelField.constant(base).weights),
+        (scaled, scaled.weights),
+        (noisy, noisy.weights),
+    ):
         form = tail = point = 0.0
         for k, (z0, z1) in enumerate(field.offsets.tolist()):
             for i in range(m):
                 for j in range(m):
                     x = i * m + j
                     y = ((i + z0) % m) * m + (j + z1) % m
-                    w = field.weights[x, k]
+                    w = weights[x, k]
                     form += w * (fv[y] - fv[x]) * (gv[y] - gv[x])
                     jumps = [a.dt * (f[y] - f[x]) for f in flux]
                     tail += w * sum(jumps) ** 2
@@ -114,6 +120,9 @@ def test_parabolic_bilinear_is_a_left_rule_in_time():
     )
     assert parabolic_bilinear(atoms, path, path) == pytest.approx(want, rel=1e-12)
     assert parabolic_seminorm(atoms, path) == pytest.approx(math.sqrt(want), rel=1e-12)
+    _, finer = make_atoms(points=64)
+    with pytest.raises(ValueError, match="measure's grid"):
+        parabolic_bilinear(finer, path, path)
 
 
 def test_time_tail_of_constant_path_is_exact():

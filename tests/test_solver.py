@@ -18,6 +18,7 @@ from nonlocal_pme import (
     energy_budget_pair,
     lipschitz_bound,
     lp_budget,
+    lp_companion,
     lp_norm,
     oleinik_report,
     read_frames_binary,
@@ -166,23 +167,37 @@ def _count_calls(monkeypatch, name, module):
 
 
 def test_budgets_reuse_the_run_record(monkeypatch):
-    traj, report = run(gaussian_config())
-    expected = _recomputed_budget(traj)
     atomized = _count_calls(monkeypatch, "truncate_and_atomize", measures)
     applied = _count_calls(monkeypatch, "_apply_atoms", operators)
+    traj, report = run(gaussian_config())
+    # one atomization per run and one operator application per step
+    assert len(atomized) == 1
+    assert len(applied) == traj.path.nsteps
 
-    budget = traj.budget
-    assert atomized == [] and applied == []
+    atomized.clear()
+    applied.clear()
     for p in (1.0, 2.0, 4.0, np.inf):
         lp_budget(traj, p)
-    assert atomized == []
-    # only the companion energies of p = 2 and p = 4 apply the operator
-    assert len(applied) == 2 * traj.path.nsteps
+    assert atomized == [] and applied == []
 
+    expected = _recomputed_budget(traj)
     for name, value in expected.items():
-        assert np.array_equal(getattr(budget, name), value), name
+        assert np.array_equal(getattr(traj.budget, name), value), name
     for name in ("phi_integrals", "cumulative_energy", "residuals", "residual_bounds"):
         assert np.array_equal(getattr(report.budget, name), expected[name]), name
+
+
+def test_companion_energy_matches_the_operator_pairing():
+    # oracle: the time-cumulated -h^N <xi, L xi> of each frame but the last,
+    # with L applied through _apply_atoms
+    traj, _ = run(gaussian_config())
+    hN = traj.config.grid.cell_volume
+    for p in (1.5, 2.0, 4.0):
+        xi = lp_companion(traj.config.effective_nonlinearity, p).value(traj.path.frames)
+        energies = [-hN * float(np.dot(x, operators._apply_atoms(traj.atoms, x))) for x in xi[:-1]]
+        want = np.concatenate([[0.0], np.cumsum(traj.path.dt * np.array(energies))])
+        got = lp_budget(traj, p).companion_energy
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("order", [1.0, 2.0, 4.0, np.inf])
