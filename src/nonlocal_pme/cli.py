@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -71,13 +72,20 @@ def _section(raw: dict, name: str, allowed: set[str], required: set[str]) -> dic
     return body
 
 
-def _positive(value, where: str) -> float:
+def _number(value, where: str) -> float:
+    """A finite real from the config; JSON booleans and strings are not numbers."""
     try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
-    if not (out > 0 and np.isfinite(out)):
-        raise ConfigError(f"{where} must be positive and finite, got {value!r}")
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer too large for a double
+        pass
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _positive(value, where: str) -> float:
+    out = _number(value, where)
+    if not out > 0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
     return out
 
 
@@ -119,13 +127,11 @@ def _parse_measure(raw: dict, dims: int) -> LevyMeasureSpec:
         for entry in atoms:
             if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
                 raise ConfigError("each atom must be [[offset components], weight]")
-            offset = [float(c) for c in entry[0]]
+            offset = [_number(c, "atom offset component") for c in entry[0]]
             if len(offset) != dims:
                 raise ConfigError(f"atom offset {entry[0]!r} does not have {dims} components")
             pairs.append((offset, _positive(entry[1], "atom weight")))
         return LevyMeasureSpec.atomic(pairs, dims=dims)
-    if kind == "radial_density":
-        raise ConfigError("radial_density measures need a Python callable; build them in code")
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
@@ -155,18 +161,21 @@ def _parse_nonlinearity(raw: dict) -> tuple[NonlinearitySpec, int]:
     values = body.get("values")
     if not isinstance(knots, list) or not isinstance(values, list):
         raise ConfigError("table nonlinearity needs knots and values lists")
+    knots = [_number(v, "nonlinearity.knots entry") for v in knots]
+    values = [_number(v, "nonlinearity.values entry") for v in values]
     return NonlinearitySpec.table(knots, values), index
 
 
 def _initial_values(grid: Grid, kind: str, params: dict) -> np.ndarray:
     coords = grid.coordinates()
     center = params.get("center", 0.0)
-    center = np.full(grid.dims, float(center)) if np.ndim(center) == 0 else np.asarray(
-        [float(c) for c in center]
-    )
+    if isinstance(center, list):
+        center = np.asarray([_number(c, "initial center entry") for c in center])
+    else:
+        center = np.full(grid.dims, _number(center, "initial center"))
     if center.shape != (grid.dims,):
         raise ConfigError(f"initial center needs {grid.dims} components")
-    amplitude = float(params.get("amplitude", 1.0))
+    amplitude = _number(params.get("amplitude", 1.0), "initial amplitude")
     if kind == "gaussian":
         width = _positive(params.get("width", 1.0), "initial width")
         sq = np.sum((coords - center) ** 2, axis=1)
@@ -304,7 +313,7 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
         dt = None
     else:
         dt = _positive(dt, "time.dt")
-    theta = float(time_body.get("theta", 0.5))
+    theta = _number(time_body.get("theta", 0.5), "time.theta")
     if not (0.0 < theta <= 1.0):
         raise ConfigError(f"time.theta must lie in (0, 1], got {theta!r}")
 

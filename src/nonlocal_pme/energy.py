@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 from .bump import discrete_bump_kernel, smoothstep_down, standard_bump
 from .grid import Grid, GridFunction, translated
@@ -265,26 +264,23 @@ def shrink_clamp(x: np.ndarray | float, delta: float) -> np.ndarray:
 
 
 def _mollify_space_time(path_frames: np.ndarray, grid: Grid, ks: int, kt: int) -> np.ndarray:
-    """Convolve with the product bump kernel: wrap in space, zero-pad in time."""
+    """Convolve with the product bump kernel: wrap in space, zero-pad in time.
+
+    The spatial kernel is the radial bump sampled at the offsets j with
+    |j| < ks + 1 (in 1-D, discrete_bump_kernel(ks)); it is applied as a sum of
+    periodic translates, one per offset of nonzero weight.
+    """
     out = path_frames
     if ks > 0:
-        if grid.dims == 1:
-            kernel = discrete_bump_kernel(ks)
-            out = ndimage.convolve1d(out, kernel, axis=1, mode="wrap")
-        else:
-            offsets = np.arange(-ks, ks + 1)
-            mesh = np.meshgrid(*([offsets] * grid.dims), indexing="ij")
-            radii = np.sqrt(sum(m.astype(np.float64) ** 2 for m in mesh)) / (ks + 1.0)
-            kernel = standard_bump(radii)
-            kernel /= kernel.sum()
-            frames = out.reshape((-1,) + grid.shape)
-            frames = np.stack(
-                [ndimage.convolve(fr, kernel, mode="wrap") for fr in frames]
-            )
-            out = frames.reshape(out.shape[0], -1)
+        axes = np.meshgrid(*[np.arange(-ks, ks + 1)] * grid.dims, indexing="ij")
+        offsets = np.stack([a.reshape(-1) for a in axes], axis=-1)
+        weights = standard_bump(np.sqrt(np.sum(offsets**2, axis=1)) / (ks + 1.0))
+        weights /= weights.sum()
+        out = sum(w * translated(out, grid, j) for j, w in zip(offsets, weights) if w > 0)
     if kt > 0:
-        kernel_t = discrete_bump_kernel(kt)
-        out = ndimage.convolve1d(out, kernel_t, axis=0, mode="constant", cval=0.0)
+        nt = out.shape[0]
+        padded = np.pad(out, ((kt, kt), (0, 0)))
+        out = sum(w * padded[i : i + nt] for i, w in enumerate(discrete_bump_kernel(kt)))
     return out
 
 

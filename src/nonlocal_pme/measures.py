@@ -2,14 +2,12 @@
 
 A jump measure assigns nonnegative weight to jump vectors z != 0 and must be
 even (invariant under z -> -z) with a finite second moment near the origin
-and finite total mass away from it. Three specification kinds are supported:
+and finite total mass away from it. Two specification kinds are supported:
 
 * ``fractional``: density c |z|^(-N-alpha) with alpha in (0, 2). When no
   multiplier is given, c is normalized so the generated operator has Fourier
   symbol -|xi|^alpha (under the unitary transform); for N = 1, alpha = 1 this
   gives c = 1/pi.
-* ``radial_density``: density rho(|z|) dz with a user-supplied radial profile
-  and a stated growth exponent at the origin.
 * ``atomic``: finitely many pairs (z, weight), even by construction.
 
 Atomization restricts a measure to the annulus r < |z| <= tail and replaces
@@ -21,11 +19,10 @@ tail), so the kept mass is conserved exactly up to quadrature error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import integrate, special
 
 from .grid import Grid, GridFunction, translated
 
@@ -36,7 +33,7 @@ class AssumptionError(ValueError):
 
 def sphere_area(dims: int) -> float:
     """Surface area of the unit sphere in R^N (2 for N = 1)."""
-    return 2.0 * math.pi ** (dims / 2.0) / special.gamma(dims / 2.0)
+    return 2.0 * math.pi ** (dims / 2.0) / math.gamma(dims / 2.0)
 
 
 def normalization_multiplier(dims: int, alpha: float) -> float:
@@ -50,9 +47,9 @@ def normalization_multiplier(dims: int, alpha: float) -> float:
             "outside this range the jump measure loses either the finite "
             "second moment near the origin or local integrability"
         )
-    num = alpha * 2.0 ** (alpha - 1.0) * special.gamma((dims + alpha) / 2.0)
-    den = math.pi ** (dims / 2.0) * special.gamma(1.0 - alpha / 2.0)
-    return float(num / den)
+    num = alpha * 2.0 ** (alpha - 1.0) * math.gamma((dims + alpha) / 2.0)
+    den = math.pi ** (dims / 2.0) * math.gamma(1.0 - alpha / 2.0)
+    return num / den
 
 
 @dataclass(frozen=True)
@@ -63,8 +60,6 @@ class LevyMeasureSpec:
     dims: int = 1
     alpha: float | None = None
     multiplier: float | None = None
-    density: Callable[[float], float] | None = field(default=None, repr=False)
-    singularity_exponent: float | None = None
     atoms: tuple[tuple[tuple[float, ...], float], ...] | None = None
 
     def __post_init__(self) -> None:
@@ -79,17 +74,6 @@ class LevyMeasureSpec:
                 )
             if self.multiplier is not None and not self.multiplier >= 0:
                 raise ValueError("multiplier must be nonnegative")
-        elif self.kind == "radial_density":
-            if self.density is None:
-                raise ValueError("radial_density kind requires a density callable")
-            if self.singularity_exponent is None:
-                raise ValueError("radial_density kind requires singularity_exponent")
-            if self.singularity_exponent >= self.dims + 2:
-                raise AssumptionError(
-                    "near-origin growth exponent "
-                    f"{self.singularity_exponent} >= N+2 = {self.dims + 2}: the "
-                    "second moment of the measure diverges at the origin"
-                )
         elif self.kind == "atomic":
             if self.atoms is None:
                 raise ValueError("atomic kind requires atom pairs")
@@ -102,17 +86,6 @@ class LevyMeasureSpec:
         cls, alpha: float, dims: int = 1, multiplier: float | None = None
     ) -> "LevyMeasureSpec":
         return cls(kind="fractional", dims=dims, alpha=alpha, multiplier=multiplier)
-
-    @classmethod
-    def radial(
-        cls, density: Callable[[float], float], singularity_exponent: float, dims: int = 1
-    ) -> "LevyMeasureSpec":
-        return cls(
-            kind="radial_density",
-            dims=dims,
-            density=density,
-            singularity_exponent=singularity_exponent,
-        )
 
     @classmethod
     def atomic(
@@ -156,46 +129,29 @@ def _validated_atoms(
 
 
 def _radial_tail_integral(spec: LevyMeasureSpec, lower: float, upper: float, power: int) -> float:
-    """Integral of s^power against the radial surface-weighted measure on (lower, upper].
-
-    For density rho this is S_{N-1} int s^(power + N - 1) rho(s) ds, i.e. the
-    measure integral of |z|^power over the annulus.
+    """Integral of |z|^power over the annulus lower < |z| <= upper against the
+    fractional density c |z|^(-N-alpha), in closed form:
+    S_{N-1} c int s^(power - alpha - 1) ds.
     """
     area = sphere_area(spec.dims)
-    if spec.kind == "fractional":
-        c = spec.effective_multiplier
-        assert spec.alpha is not None
-        expo = power - spec.alpha  # integrand s^(expo - 1) after surface weighting
-        if upper == math.inf:
-            if expo >= 0:
-                raise AssumptionError(
-                    f"moment of order {power} diverges at infinity for alpha = {spec.alpha}"
-                )
-            return area * c * lower**expo / (-expo)
-        if expo == 0:
-            return area * c * math.log(upper / lower) if lower > 0 else math.inf
-        if lower == 0.0:
-            if expo <= 0:
-                raise AssumptionError(
-                    f"moment of order {power} diverges at the origin for alpha = {spec.alpha}"
-                )
-            return area * c * upper**expo / expo
-        return area * c * (upper**expo - lower**expo) / expo
-    if spec.kind == "radial_density":
-        assert spec.density is not None
-        rho = spec.density
-        integrand = lambda s: s ** (power + spec.dims - 1) * rho(s)
-        if upper == math.inf:
-            value, _ = integrate.quad(integrand, lower, math.inf, limit=200)
-        else:
-            value, _ = integrate.quad(integrand, lower, upper, limit=200)
-        if not math.isfinite(value):
+    c = spec.effective_multiplier
+    assert spec.alpha is not None
+    expo = power - spec.alpha  # integrand s^(expo - 1) after surface weighting
+    if upper == math.inf:
+        if expo >= 0:
             raise AssumptionError(
-                f"moment of order {power} of the radial density is not finite "
-                f"on ({lower}, {upper})"
+                f"moment of order {power} diverges at infinity for alpha = {spec.alpha}"
             )
-        return area * value
-    raise ValueError(f"radial integrals not defined for kind {spec.kind!r}")
+        return area * c * lower**expo / (-expo)
+    if expo == 0:
+        return area * c * math.log(upper / lower) if lower > 0 else math.inf
+    if lower == 0.0:
+        if expo <= 0:
+            raise AssumptionError(
+                f"moment of order {power} diverges at the origin for alpha = {spec.alpha}"
+            )
+        return area * c * upper**expo / expo
+    return area * c * (upper**expo - lower**expo) / expo
 
 
 def moments(spec: LevyMeasureSpec) -> tuple[float, float]:
@@ -342,7 +298,7 @@ def truncate_and_atomize(
     Requires r >= h (jumps below one cell cannot be represented by offsets)
     and tail_cutoff <= R. In one dimension each kept offset receives the
     measure of its midpoint interval clamped to the annulus, so the kept mass
-    is conserved exactly (fractional kind uses the radial antiderivative). In
+    is conserved exactly (the radial antiderivative is in closed form). In
     higher dimensions a midpoint rule per cell is used. Atomic measures keep
     their own atoms, which must already lie on grid offsets.
     """
@@ -388,15 +344,7 @@ def truncate_and_atomize(
         if not offsets:
             return empty
         off = np.asarray(offsets, dtype=np.int64)
-        wts = _symmetrize_weights(off, np.asarray(weights))
-        return AtomMeasure(
-            grid,
-            off,
-            wts,
-            truncation_radius=r,
-            tail_cutoff=tail_cutoff,
-            discarded_tail_mass=annulus_mass(spec, tail_cutoff, math.inf),
-        )
+        return replace(empty, offsets=off, weights=_symmetrize_weights(off, np.asarray(weights)))
 
     if grid.dims == 1:
         j_min = int(math.floor(r / h)) + 1
@@ -420,15 +368,7 @@ def truncate_and_atomize(
         )
         offsets = np.concatenate([js, -js]).reshape(-1, 1)
         weights = np.concatenate([one_sided, one_sided])
-        weights = _symmetrize_weights(offsets, weights)
-        return AtomMeasure(
-            grid,
-            offsets,
-            weights,
-            truncation_radius=r,
-            tail_cutoff=tail_cutoff,
-            discarded_tail_mass=annulus_mass(spec, tail_cutoff, math.inf),
-        )
+        return replace(empty, offsets=offsets, weights=_symmetrize_weights(offsets, weights))
 
     # N >= 2: midpoint rule on cells whose centers fall in the annulus.
     max_j = int(math.floor(tail_cutoff / h))
@@ -437,25 +377,13 @@ def truncate_and_atomize(
     all_offsets = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     lengths = np.sqrt(np.sum((all_offsets * h) ** 2, axis=1))
     keep = (lengths > r) & (lengths <= tail_cutoff)
-    offsets = all_offsets[keep]
+    offsets = all_offsets[keep].astype(np.int64)
     if offsets.shape[0] == 0:
         return empty
-    kept_lengths = lengths[keep]
-    if spec.kind == "fractional":
-        c = spec.effective_multiplier
-        assert spec.alpha is not None
-        dens = c * kept_lengths ** (-grid.dims - spec.alpha)
-    else:
-        assert spec.density is not None
-        dens = np.array([spec.density(s) for s in kept_lengths])
-    weights = _symmetrize_weights(offsets.astype(np.int64), dens * grid.cell_volume)
-    return AtomMeasure(
-        grid,
-        offsets.astype(np.int64),
-        weights,
-        truncation_radius=r,
-        tail_cutoff=tail_cutoff,
-        discarded_tail_mass=annulus_mass(spec, tail_cutoff, math.inf),
+    assert spec.alpha is not None
+    dens = spec.effective_multiplier * lengths[keep] ** (-grid.dims - spec.alpha)
+    return replace(
+        empty, offsets=offsets, weights=_symmetrize_weights(offsets, dens * grid.cell_volume)
     )
 
 

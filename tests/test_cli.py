@@ -1,11 +1,18 @@
 """End-to-end checks of the command line interface and config validation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nonlocal_pme
 from nonlocal_pme import ConfigError, load_experiment, main, read_frames_binary
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "experiment.json"
 
 
 def base_config(**overrides):
@@ -55,11 +62,40 @@ def test_load_experiment_happy_path(tmp_path):
         {"checks": ["operator", "mystery-suite"]},
         {"output": {"formats": ["yaml"]}},
         {"refinement": {"r": [0.5, 0.25, 0.125]}},
+        {"time": {"T": 0.1, "theta": [0.5]}},
+        {"time": {"T": 10**400}},
+        {"initial": {"kind": "gaussian", "params": {"amplitude": [1]}}},
+        {"initial": {"kind": "gaussian", "params": {"center": [{}]}}},
+        {"initial": {"kind": "gaussian", "params": {"width": True}}},
+        {"nonlinearity": {"kind": "table", "knots": [[0], 1], "values": [0, 1]}},
+        {"nonlinearity": {"kind": "table", "knots": [0, 1], "values": [0, "1"]}},
+        {"measure": {"kind": "atomic", "atoms": [[[{}], 1.0]]}},
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, mutation):
     with pytest.raises(ConfigError):
         load_experiment(write_config(tmp_path, base_config(**mutation)))
+
+
+def test_loading_a_config_does_not_import_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle.
+    package_root = str(Path(nonlocal_pme.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from nonlocal_pme.cli import load_experiment\n"
+        f"load_experiment({str(DEMO_CONFIG)!r})\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_simulate_writes_requested_formats(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from nonlocal_pme import (
     Grid,
@@ -17,6 +18,7 @@ from nonlocal_pme import (
     apply_truncated,
     bilinear,
     density_approximation,
+    discrete_bump_kernel,
     oleinik_report,
     parabolic_bilinear,
     parabolic_seminorm,
@@ -24,9 +26,11 @@ from nonlocal_pme import (
     sobolev_seminorm_direct,
     sobolev_seminorm_fourier,
     spatial_cutoff,
+    standard_bump,
     time_tail,
     truncate_and_atomize,
 )
+from nonlocal_pme.energy import _mollify_space_time
 
 
 def make_atoms(points=64, halfwidth=8.0, alpha=1.0, r=0.5, tail=4.0):
@@ -234,6 +238,38 @@ def test_density_approximation_band_and_shrink():
     assert np.all(approx.frames[late] == 0.0)
     assert np.all(approx.frames[early] == 0.0)
     assert np.any(np.abs(approx.frames) > 0.0)
+
+
+
+def ndimage_mollify(frames, grid, ks, kt):
+    """Reference product-bump mollifier built on scipy.ndimage filters."""
+    out = frames
+    if ks > 0:
+        offsets = np.arange(-ks, ks + 1)
+        mesh = np.meshgrid(*([offsets] * grid.dims), indexing="ij")
+        kernel = standard_bump(np.sqrt(sum(m.astype(np.float64) ** 2 for m in mesh)) / (ks + 1.0))
+        kernel /= kernel.sum()
+        boxes = out.reshape((-1,) + grid.shape)
+        out = np.stack([ndimage.convolve(box, kernel, mode="wrap") for box in boxes])
+        out = out.reshape(frames.shape)
+    if kt > 0:
+        out = ndimage.convolve1d(out, discrete_bump_kernel(kt), axis=0, mode="constant", cval=0.0)
+    return out
+
+
+@pytest.mark.parametrize("dims, points", [(1, 16), (2, 10), (3, 8)])
+def test_mollifier_matches_the_ndimage_filters(dims, points):
+    grid = Grid(dims=dims, points_per_axis=points, halfwidth=2.0)
+    frames = np.random.default_rng(dims).random((9, grid.npoints)) + 0.5
+    for ks in range(4):
+        for kt in range(4):
+            np.testing.assert_allclose(
+                _mollify_space_time(frames, grid, ks, kt),
+                ndimage_mollify(frames, grid, ks, kt),
+                rtol=1e-14,
+                atol=0.0,
+                err_msg=f"ks={ks}, kt={kt}",
+            )
 
 
 def test_density_approximation_rejects_wide_delta():
