@@ -35,7 +35,7 @@ from .energy import (
 from .grid import Grid, GridFunction
 from .measures import AtomMeasure, LevyMeasureSpec, truncate_and_atomize
 from .nonlinearity import NonlinearitySpec, PowerEntropy, lp_companion, stroock_varopoulos_gap
-from .operators import apply_truncated, fourier_fractional, operator_report
+from .operators import _apply_atoms, fourier_fractional, operator_report
 from .solver import (
     SolverConfig,
     convergence_study,
@@ -437,8 +437,8 @@ def _suite_energy(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple
     for _ in range(8):
         f = GridFunction(exp.grid, rng.standard_normal(exp.grid.npoints))
         g = GridFunction(exp.grid, rng.standard_normal(exp.grid.npoints))
-        lf = apply_truncated(atoms, f)
-        pairing = cell * float(np.dot(g.values, lf.values))
+        lf = _apply_atoms(atoms, f.values)
+        pairing = cell * float(np.dot(g.values, lf))
         efg = bilinear(atoms, f, g)
         worst_pairing = max(worst_pairing, abs(pairing + efg))
         worst_symmetry = max(worst_symmetry, abs(efg - bilinear(atoms, g, f)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -257,6 +258,23 @@ class AtomMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        """Real Fourier symbol sum_k w_k (cos(xi . j_k h) - 1) on the rfftn grid.
+
+        The weights are scattered onto a periodic kernel at offsets mod M
+        (atoms that alias onto one index add up), so this is the exact
+        multiplier of the periodic shift sum. Evenness makes the transform
+        real; the DC entry is set to exactly 0. Built once and read-only.
+        """
+        grid = self.grid
+        kernel = np.zeros(grid.shape)
+        np.add.at(kernel, tuple((self.offsets % grid.points_per_axis).T), self.weights)
+        symbol = np.fft.rfftn(kernel).real - self.total_mass
+        symbol[(0,) * grid.dims] = 0.0
+        symbol.flags.writeable = False
+        return symbol
 
     def negation_indices(self) -> np.ndarray:
         """Index array k -> position of -offsets[k]."""

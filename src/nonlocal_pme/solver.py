@@ -184,8 +184,8 @@ def step(u: GridFunction, atoms: AtomMeasure, spec: NonlinearitySpec, dt: float)
     """One forward-Euler update u + dt * L[phi_n(u)].
 
     Refuses (hard error) when dt exceeds the theta = 1 monotonicity bound for
-    the current state amplitude; mass is conserved exactly because the
-    operator annihilates constants row by row.
+    the current state amplitude. Mass is conserved up to rounding: the
+    operator's symbol vanishes exactly at the zero frequency.
     """
     if u.grid != atoms.grid:
         raise ValueError("state and operator grids differ")

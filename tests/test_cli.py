@@ -98,6 +98,21 @@ def test_loading_a_config_does_not_import_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_running_the_package_as_a_module_is_warning_free():
+    package_root = str(Path(nonlocal_pme.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nonlocal_pme", "--help"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "simulate" in result.stdout
+
+
 def test_simulate_writes_requested_formats(tmp_path):
     config = base_config(output={"formats": ["csv", "json", "binary"]})
     path = write_config(tmp_path, config)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_pme import (
+    AtomMeasure,
     CompensatedOperator,
     Grid,
     GridFunction,
@@ -17,6 +20,7 @@ from nonlocal_pme import (
     second_moment_within,
     truncate_and_atomize,
 )
+from nonlocal_pme.operators import _apply_atoms, _shift_sum
 
 
 def two_cell_operator():
@@ -98,6 +102,58 @@ def test_zero_near_field_reduces_to_truncated():
     np.testing.assert_array_equal(
         apply_compensated(op, f).values, apply_truncated(atoms, f).values
     )
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_spectral_apply_matches_the_shift_sum(data):
+    # the FFT route against the atom-by-atom stencil on random even tables;
+    # offsets reach past +-M/2 and past M, so atoms alias onto one index mod M
+    dims = data.draw(st.integers(min_value=1, max_value=3))
+    m = data.draw(st.integers(min_value=1, max_value=7 if dims < 3 else 5))
+    grid = Grid(dims=dims, points_per_axis=m, halfwidth=1.0)
+    drawn = data.draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-2 * m, 2 * m), min_size=dims, max_size=dims),
+                # weights stay far from the subnormal range, where the
+                # relative tolerance below has no meaning
+                st.just(0.0) | st.floats(min_value=1e-6, max_value=10.0),
+            ),
+            max_size=8,
+        )
+    )
+    table = {}
+    for offset, weight in drawn:
+        offset = tuple(offset)
+        if any(offset) and offset not in table:
+            table[offset] = table[tuple(-j for j in offset)] = weight
+    offsets = np.array(list(table), dtype=np.int64).reshape(-1, dims)
+    atoms = AtomMeasure(grid, offsets, np.array(list(table.values())))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = data.draw(st.sampled_from([1.0, 1e-3, 1e6])) * rng.standard_normal(grid.npoints)
+    want = _shift_sum(atoms, values)
+    got = _apply_atoms(atoms, values)
+    assert got.shape == values.shape
+    tol = 1e-13 * atoms.total_mass * float(np.max(np.abs(values)))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+
+
+def test_symbol_matches_the_closed_form():
+    # tail_cutoff = R keeps the atoms at +-M/2, which share one periodic index
+    grid = Grid(dims=2, points_per_axis=32, halfwidth=4.0)
+    atoms = truncate_and_atomize(LevyMeasureSpec.fractional(1.3, dims=2), grid, 0.25, 4.0)
+    assert np.any(np.abs(atoms.offsets) == 16)
+    xi_0, xi_1 = grid_frequencies(grid)
+    mesh = np.meshgrid(xi_0, xi_1[: 32 // 2 + 1], indexing="ij")
+    phase = sum(m[..., None] * atoms.offsets[:, a] * grid.spacing for a, m in enumerate(mesh))
+    want = np.sum(atoms.weights * (np.cos(phase) - 1.0), axis=-1)
+    symbol = atoms.symbol
+    assert symbol.shape == want.shape
+    np.testing.assert_allclose(symbol, want, rtol=0.0, atol=1e-13 * atoms.total_mass)
+    assert symbol[0, 0] == 0.0
+    assert not symbol.flags.writeable
+    assert atoms.symbol is symbol
 
 
 def test_grid_frequencies_by_hand():
