@@ -117,16 +117,37 @@ def _jump_form(measure: AtomMeasure | KernelField, f: np.ndarray, g: np.ndarray)
     """(1/2) h^N sum_x sum_k w_k(x) (f(x+z_k) - f(x)) (g(x+z_k) - g(x)).
 
     f and g are value arrays of the same shape with the flat grid on the last
-    axis; the form is taken once for each leading (frame) index, with one
-    shift of the stacked pair per atom (of f alone when g is f).
+    axis; the form is taken once for each leading (frame) index, over the
+    stacked pair (f alone when g is f).
+
+    For an AtomMeasure it is the Parseval sum
+    (h^N / M^N) sum_xi (-symbol(xi)) (Re f^ Re g^ + Im f^ Im g^) over one
+    rfftn of the stack, with the measure's cached symbol. On the half
+    spectrum every column counts twice except the zero column and, for even
+    M, the Nyquist column. The product is symmetric in f and g term by term,
+    and a zero f has a zero spectrum, so the form is exactly symmetric and
+    exactly 0 on a zero difference. A KernelField has weights that depend on
+    x and so no symbol: its form is summed with one shift of the stack per
+    atom.
     """
     grid = measure.grid
     stack = f[None] if g is f else np.stack([f, g])
-    total = np.zeros(stack.shape[1:-1])
-    for k, offset in enumerate(measure.offsets):
-        jumps = translated(stack, grid, offset) - stack
-        total += measure.weighted_sum(k, jumps[0] * jumps[-1])
-    return 0.5 * grid.cell_volume * total
+    if isinstance(measure, KernelField):
+        total = np.zeros(stack.shape[1:-1])
+        for k, offset in enumerate(measure.offsets):
+            jumps = translated(stack, grid, offset) - stack
+            total += np.dot(jumps[0] * jumps[-1], measure.weights[:, k])
+        return 0.5 * grid.cell_volume * total
+    axes = tuple(range(stack.ndim - 1, stack.ndim - 1 + grid.dims))
+    spectra = np.fft.rfftn(stack.reshape(stack.shape[:-1] + grid.shape), axes=axes)
+    products = spectra[0].real * spectra[-1].real + spectra[0].imag * spectra[-1].imag
+    columns = np.full(measure.symbol.shape[-1], 2.0)
+    columns[0] = 1.0
+    if grid.points_per_axis % 2 == 0:
+        columns[-1] = 1.0
+    weights = (columns * -measure.symbol).reshape(-1)
+    flat = products.reshape(products.shape[: products.ndim - grid.dims] + (-1,))
+    return grid.cell_volume / grid.npoints * (flat @ weights)
 
 
 def bilinear(measure: AtomMeasure | KernelField, f: GridFunction, g: GridFunction) -> float:
@@ -141,7 +162,8 @@ def parabolic_bilinear(
     measure: AtomMeasure | KernelField, f: PathFunction, g: PathFunction
 ) -> float:
     """Left-endpoint time quadrature dt * sum_{k<K} B[f(t_k), g(t_k)], with the
-    forms of all frames but the last taken in one stacked call."""
+    forms of all frames but the last taken in one stacked call: one rfftn of
+    the frame stack for an AtomMeasure, one shift per atom for a KernelField."""
     if f.grid != g.grid or f.times.shape != g.times.shape or not np.array_equal(f.times, g.times):
         raise ValueError("paths must share grid and time levels")
     if f.grid != measure.grid:

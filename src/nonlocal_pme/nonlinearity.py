@@ -22,6 +22,11 @@ from .measures import AssumptionError, AtomMeasure, KernelField
 _VALUE_NODES, _VALUE_WEIGHTS = bump_weighted_nodes(64)
 _SLOPE_NODES, _SLOPE_WEIGHTS = bump_derivative_weighted_nodes(64)
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Points per pass of a bump sum. 128 points x 64 nodes makes each temporary
+# 64 KB: it stays in cache, and below glibc's 128 KB mmap threshold, so the
+# heap recycles it. Temporaries of 256 KB and up are mapped and unmapped on
+# every pass, and their page faults cost more than the sums themselves.
+_BUMP_BLOCK = 128
 # Regularization levels of the p < 2 companion, decreasing toward the limit.
 _COMPANION_DELTAS = (1e-2, 1e-3, 1e-4)
 
@@ -180,11 +185,36 @@ class NonlinearitySpec:
         nodes: np.ndarray = _VALUE_NODES,
         weights: np.ndarray = _VALUE_WEIGHTS,
     ) -> np.ndarray:
-        """The bump sum  sum_i weights_i * raw(u - nodes_i / n)."""
-        n = float(self.mollification_index)
-        shifted = u[..., None] - nodes / n
-        flat = raw(shifted.reshape(-1)).reshape(shifted.shape)
-        return flat @ weights
+        """The bump sum  sum_i weights_i * raw(u - nodes_i / n).
+
+        The node sum is one matrix-vector product per row of the last axis.
+        An input of more than _BUMP_BLOCK + 1 points is summed in blocks of
+        about _BUMP_BLOCK points, so the points x nodes temporaries stay in
+        cache and do not grow with the input. A block holds whole rows, or
+        the columns of a long row from a multiple of the block size on; a
+        row's last block never holds a lone point, which BLAS sums in another
+        order than the trailing point of a longer product. Every value is
+        then bit for bit that of a single pass over the whole input with one
+        BLAS thread.
+        """
+        scaled = nodes / float(self.mollification_index)
+
+        def bump_sum(part: np.ndarray) -> np.ndarray:
+            shifted = part[..., None] - scaled
+            return raw(shifted.reshape(-1)).reshape(shifted.shape) @ weights
+
+        if u.size <= _BUMP_BLOCK + 1:
+            return bump_sum(u)
+        rows = u.reshape(-1, u.shape[-1])
+        width = rows.shape[1]
+        step = max(1, _BUMP_BLOCK // width)
+        starts = range(0, max(width - 1, 1), _BUMP_BLOCK)
+        spans = list(zip(starts, [*starts[1:], width]))
+        out = np.empty(rows.shape)
+        for i in range(0, rows.shape[0], step):
+            for lo, hi in spans:
+                out[i : i + step, lo:hi] = bump_sum(rows[i : i + step, lo:hi])
+        return out.reshape(u.shape)
 
     def value(self, u: np.ndarray | float) -> np.ndarray:
         """The map in effect: the raw map, or its bump average re-anchored.

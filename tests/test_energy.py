@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from nonlocal_pme import (
+    AtomMeasure,
     Grid,
     GridFunction,
     KernelField,
@@ -30,7 +31,7 @@ from nonlocal_pme import (
     time_tail,
     truncate_and_atomize,
 )
-from nonlocal_pme.energy import _mollify_space_time
+from nonlocal_pme.energy import _jump_form, _mollify_space_time
 
 
 def make_atoms(points=64, halfwidth=8.0, alpha=1.0, r=0.5, tail=4.0):
@@ -101,6 +102,54 @@ def test_position_dependent_forms_match_brute_force():
         rep = oleinik_report(a, b, spec, field)
         assert rep.tail_square == pytest.approx(0.25 * hN * tail, rel=1e-12)
         assert rep.pointwise_square == pytest.approx(0.25 * hN * point, rel=1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_spectral_form_matches_the_shift_loop(data):
+    # the Parseval route of an AtomMeasure against the shift loop of the same
+    # weights as a KernelField; odd and even M (even M has a Nyquist column),
+    # offsets past +-M/2 and past M so atoms alias onto one index mod M
+    dims = data.draw(st.integers(min_value=1, max_value=2))
+    m = data.draw(st.integers(min_value=1, max_value=8))
+    grid = Grid(dims=dims, points_per_axis=m, halfwidth=1.0)
+    drawn = data.draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-2 * m, 2 * m), min_size=dims, max_size=dims),
+                st.just(0.0) | st.floats(min_value=1e-6, max_value=10.0),
+            ),
+            max_size=8,
+        )
+    )
+    table = {}
+    for offset, weight in drawn:
+        offset = tuple(offset)
+        if any(offset) and offset not in table:
+            table[offset] = table[tuple(-j for j in offset)] = weight
+    offsets = np.array(list(table), dtype=np.int64).reshape(-1, dims)
+    atoms = AtomMeasure(grid, offsets, np.array(list(table.values())))
+    loop = KernelField.constant(atoms)
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    frames = data.draw(st.sampled_from([(), (1,), (3,)]))
+    shape = frames + (grid.npoints,)
+    f = data.draw(st.sampled_from([1.0, 1e-3, 1e6])) * rng.standard_normal(shape)
+    g = rng.standard_normal(shape)
+    scale = grid.cell_volume * grid.npoints * atoms.total_mass
+    for a, b in ((f, f), (f, g)):
+        got = _jump_form(atoms, a, b)
+        assert np.shape(got) == frames
+        tol = 1e-13 * scale * float(np.max(np.abs(a))) * float(np.max(np.abs(b)))
+        np.testing.assert_allclose(got, _jump_form(loop, a, b), rtol=0.0, atol=tol)
+    # exact symmetry, and exact zeros on a zero difference (the identical-pair
+    # Oleinik terms)
+    assert np.array_equal(_jump_form(atoms, f, g), _jump_form(atoms, g, f))
+    zero = np.zeros(shape)
+    assert np.all(_jump_form(atoms, zero, g) == 0.0)
+    assert np.all(_jump_form(atoms, zero, zero) == 0.0)
+    fv = GridFunction(grid, f.reshape(-1, grid.npoints)[0])
+    gv = GridFunction(grid, g.reshape(-1, grid.npoints)[0])
+    assert bilinear(atoms, fv, gv) == bilinear(atoms, gv, fv)
 
 
 def test_summation_by_parts():

@@ -1,6 +1,7 @@
 """Nonlinearities, their smoothed versions, entropies, and companion maps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,59 @@ def test_primitive_of_smoothed_map_matches_quadrature(monkeypatch):
             assert err < 1e-12 * abs(want)
             got = float(spec.primitive(np.array([w]))[0])
             assert got == pytest.approx(want, rel=1e-12), (spec.kind, n, w)
+
+
+SMOOTHED_KINDS = [
+    NonlinearitySpec.pme(2.0, mollification_index=2),
+    NonlinearitySpec.pme(0.5, mollification_index=3),
+    NonlinearitySpec.stefan(0.3, mollification_index=2),
+    NonlinearitySpec.linear(mollification_index=1),
+    NonlinearitySpec.table([-1.0, 0.0, 1.0, 2.0], [-2.0, 0.0, 0.5, 3.0], mollification_index=4),
+]
+
+
+@pytest.mark.parametrize("spec", SMOOTHED_KINDS, ids=lambda spec: spec.kind)
+def test_blocked_bump_sums_match_single_passes(spec):
+    block = nonlinearity._BUMP_BLOCK
+    rng = np.random.default_rng(17)
+    for name in ("value", "derivative", "primitive"):
+        f = getattr(spec, name)
+        # a long row runs in blocks from multiples of the block size; its last
+        # block is not a multiple of 4 long, and 3 * block + 1 points end in a
+        # block of block + 1 points rather than a lone one
+        for length in (2 * block + 37, 3 * block + 1):
+            u = 3.0 * rng.standard_normal(length)
+            cuts = [0, block, 2 * block, length]
+            want = np.concatenate([f(u[lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
+            assert np.array_equal(f(u), want)
+        # stacked rows of a third of a block or of one point, more points than
+        # a block in all: each row comes out as it does alone
+        for shape in ((9, block // 3 + 1), (2 * block + 3, 1)):
+            rows = 3.0 * rng.standard_normal(shape)
+            got = f(rows)
+            assert got.shape == rows.shape
+            for i in range(rows.shape[0]):
+                assert np.array_equal(got[i], f(rows[i]))
+        # a 0-d input gives a 0-d result, the value of a one-point batch
+        x = float(rng.standard_normal())
+        assert f(x).shape == ()
+        assert f(x) == f(np.array([x]))[0]
+
+
+@pytest.mark.parametrize("shape", [(300_000,), (33, 96 * 96)], ids=["row", "frames"])
+def test_bump_sums_do_not_allocate_per_node(shape):
+    # a single pass would hold points x 64 doubles at once (the 2-D Oleinik
+    # suite's 33 frames of 96^2 points took 617 MB); the blocked sums stay
+    # below 8 doubles per point
+    spec = NonlinearitySpec.pme(2.0, mollification_index=2)
+    u = np.random.default_rng(3).uniform(-2.0, 2.0, shape)
+    tracemalloc.start()
+    try:
+        spec.value(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * u.size
 
 
 def test_power_entropy_spot_values():
