@@ -8,7 +8,8 @@ and finite total mass away from it. Two specification kinds are supported:
   multiplier is given, c is normalized so the generated operator has Fourier
   symbol -|xi|^alpha (under the unitary transform); for N = 1, alpha = 1 this
   gives c = 1/pi.
-* ``atomic``: finitely many pairs (z, weight), even by construction.
+* ``atomic``: finitely many pairs (z, weight), even to 1e-12 relative; each
+  mirrored pair enters as its mean, so the stored weights are bit-even.
 
 Atomization restricts a measure to the annulus r < |z| <= tail and replaces
 it by weighted integer-offset atoms on a grid. In one dimension the annulus
@@ -114,11 +115,14 @@ def _validated_atoms(
         z = tuple(float(c) for c in z)
         if len(z) != dims:
             raise ValueError(f"atom location {z} does not have {dims} components")
+        if not math.isfinite(w):
+            raise ValueError(f"atom weights must be finite, got {w}")
         if w < 0:
             raise ValueError(f"atom weight must be nonnegative, got {w}")
         if all(c == 0.0 for c in z):
             raise ValueError("atomic measures may not charge the origin")
         table[z] = table.get(z, 0.0) + float(w)
+    even = {}
     for z, w in table.items():
         neg = tuple(-c for c in z)
         if not math.isclose(table.get(neg, math.nan), w, rel_tol=1e-12, abs_tol=0.0):
@@ -126,7 +130,9 @@ def _validated_atoms(
                 f"atomic measure is not even: weight at {z} is {w} but weight "
                 f"at {neg} is {table.get(neg)}"
             )
-    return tuple(sorted(table.items()))
+        # the sum is commutative, so z and -z get the same bits
+        even[z] = 0.5 * (w + table[neg])
+    return tuple(sorted(even.items()))
 
 
 def _radial_tail_integral(spec: LevyMeasureSpec, lower: float, upper: float, power: int) -> float:
@@ -207,10 +213,13 @@ def second_moment_within(spec: LevyMeasureSpec, radius: float) -> float:
 class AtomMeasure:
     """Finitely many even integer-offset atoms bound to a grid.
 
-    ``offsets`` has shape (K, N) with no zero row; ``weights`` is nonnegative
-    and the offset set is closed under negation with bit-identical weights.
-    ``truncation_radius`` and ``tail_cutoff`` record the annulus the measure
-    was atomized from, when it was produced by :func:`truncate_and_atomize`.
+    ``offsets`` has shape (K, N) with distinct nonzero rows, sorted
+    lexicographically; ``weights`` is finite and nonnegative. Negation
+    reverses lexicographic order, so evenness is one array identity: the
+    mirror of atom k is atom K-1-k (``offsets == -offsets[::-1]``) and carries
+    exactly its weight (``weights == weights[::-1]``). ``truncation_radius``
+    and ``tail_cutoff`` record the annulus the measure was atomized from,
+    when it was produced by :func:`truncate_and_atomize`.
     """
 
     grid: Grid
@@ -225,31 +234,34 @@ class AtomMeasure:
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if offsets.shape[0] != weights.shape[0]:
             raise ValueError("offsets and weights must pair up one to one")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("atom weights must be finite")
         if np.any(weights < 0):
             raise ValueError("atom weights must be nonnegative")
-        if offsets.shape[0] and np.any(np.all(offsets == 0, axis=1)):
+        if np.any(np.all(offsets == 0, axis=1)):
             raise ValueError("atoms may not sit at the zero offset")
-        order = np.lexsort(offsets.T[::-1]) if offsets.shape[0] else np.array([], dtype=np.int64)
+        order = np.lexsort(offsets.T[::-1])
         offsets = offsets[order]
         weights = weights[order]
-        if len({tuple(row) for row in offsets.tolist()}) != offsets.shape[0]:
+        if np.any(np.all(offsets[1:] == offsets[:-1], axis=1)):
             raise ValueError("duplicate atom offsets")
+        mirrors = -offsets[::-1]
+        odd = np.any(offsets != mirrors, axis=1) | (weights != weights[::-1])
+        if np.any(odd):
+            # Both sorted lists agree before row k, so the smaller of offsets[k]
+            # and mirrors[k] is absent from the other: offsets[k] or -mirrors[k]
+            # lacks its mirror. Equal rows mean the mirror weighs differently.
+            k = np.argmax(odd)
+            row, mirror = offsets[k].tolist(), mirrors[k].tolist()
+            culprit = row if row <= mirror else [-c for c in mirror]
+            raise AssumptionError(
+                f"atom measure is not even at offset {tuple(culprit)}: "
+                "mirror offset missing or carries a different weight"
+            )
         offsets.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "weights", weights)
-        self._check_even()
-
-    def _check_even(self) -> None:
-        index = {tuple(row): k for k, row in enumerate(self.offsets.tolist())}
-        for k, row in enumerate(self.offsets.tolist()):
-            neg = tuple(-c for c in row)
-            partner = index.get(neg)
-            if partner is None or self.weights[partner] != self.weights[k]:
-                raise AssumptionError(
-                    f"atom measure is not even at offset {tuple(row)}: mirror "
-                    "offset missing or carries a different weight"
-                )
 
     @property
     def natoms(self) -> int:
@@ -276,31 +288,9 @@ class AtomMeasure:
         symbol.flags.writeable = False
         return symbol
 
-    def negation_indices(self) -> np.ndarray:
-        """Index array k -> position of -offsets[k]."""
-        index = {tuple(row): k for k, row in enumerate(self.offsets.tolist())}
-        return np.array(
-            [index[tuple(-c for c in row)] for row in self.offsets.tolist()], dtype=np.int64
-        )
-
     def jump_lengths(self) -> np.ndarray:
         """Euclidean length |j h| of every atom's jump vector."""
         return np.sqrt(np.sum((self.offsets * self.grid.spacing) ** 2, axis=1))
-
-
-def _symmetrize_weights(offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Average each weight with its mirror so evenness holds bit-for-bit."""
-    index = {tuple(row): k for k, row in enumerate(offsets.tolist())}
-    out = weights.copy()
-    for k, row in enumerate(offsets.tolist()):
-        partner = index[tuple(-c for c in row)]
-        if partner > k:
-            avg = 0.5 * (weights[k] + weights[partner])
-            out[k] = avg
-            out[partner] = avg
-        elif partner == k:
-            out[k] = weights[k]
-    return out
 
 
 def truncate_and_atomize(
@@ -312,8 +302,10 @@ def truncate_and_atomize(
     and tail_cutoff <= R. In one dimension each kept offset receives the
     measure of its midpoint interval clamped to the annulus, so the kept mass
     is conserved exactly (the radial antiderivative is in closed form). In
-    higher dimensions a midpoint rule per cell is used. Atomic measures keep
-    their own atoms, which must already lie on grid offsets.
+    higher dimensions a midpoint rule per cell is used. Both give z and -z
+    the same bits. Atomic measures keep their own atoms, which must lie on
+    grid offsets and are bit-even because the spec averaged each mirrored
+    pair. :class:`AtomMeasure` is the one evenness check downstream.
     """
     if spec.dims != grid.dims:
         raise ValueError(f"measure dims {spec.dims} != grid dims {grid.dims}")
@@ -356,8 +348,7 @@ def truncate_and_atomize(
             weights.append(w)
         if not offsets:
             return empty
-        off = np.asarray(offsets, dtype=np.int64)
-        return replace(empty, offsets=off, weights=_symmetrize_weights(off, np.asarray(weights)))
+        return replace(empty, offsets=np.asarray(offsets), weights=np.asarray(weights))
 
     if grid.dims == 1:
         j_min = int(math.floor(r / h)) + 1
@@ -380,8 +371,7 @@ def truncate_and_atomize(
             ]
         )
         offsets = np.concatenate([js, -js]).reshape(-1, 1)
-        weights = np.concatenate([one_sided, one_sided])
-        return replace(empty, offsets=offsets, weights=_symmetrize_weights(offsets, weights))
+        return replace(empty, offsets=offsets, weights=np.concatenate([one_sided, one_sided]))
 
     # N >= 2: midpoint rule on cells whose centers fall in the annulus.
     max_j = int(math.floor(tail_cutoff / h))
@@ -395,9 +385,7 @@ def truncate_and_atomize(
         return empty
     assert spec.alpha is not None
     dens = spec.effective_multiplier * lengths[keep] ** (-grid.dims - spec.alpha)
-    return replace(
-        empty, offsets=offsets, weights=_symmetrize_weights(offsets, dens * grid.cell_volume)
-    )
+    return replace(empty, offsets=offsets, weights=dens * grid.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -423,6 +411,8 @@ class KernelField:
                 f"weights must have shape (npoints, natoms) = "
                 f"({self.grid.npoints}, {self.base.natoms}), got {weights.shape}"
             )
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("kernel weights must be finite")
         if np.any(weights < 0):
             raise ValueError("kernel weights must be nonnegative")
         weights = weights.copy()
@@ -466,13 +456,10 @@ class KernelField:
 
     def symmetry_defect(self) -> float:
         """max |w(x, z) - w(x+z, -z)| over all points and atoms."""
-        if self.base.natoms == 0:
-            return 0.0
-        neg = self.base.negation_indices()
         worst = 0.0
-        for k in range(self.base.natoms):
-            # compare w(x, z_k) with w(x + z_k, -z_k)
-            mirrored = translated(self.weights[:, neg[k]], self.grid, self.offsets[k])
+        for k, z in enumerate(self.offsets):
+            # compare w(x, z_k) with w(x + z_k, -z_k); -z_k is atom K-1-k
+            mirrored = translated(self.weights[:, -1 - k], self.grid, z)
             worst = max(worst, float(np.max(np.abs(self.weights[:, k] - mirrored))))
         return worst
 
