@@ -140,19 +140,3 @@ def translated(values: np.ndarray, grid: Grid, offset: Sequence[int]) -> np.ndar
     box = values.reshape(lead + grid.shape)
     axes = tuple(range(len(lead), box.ndim))
     return np.roll(box, tuple(-int(j) for j in offset), axis=axes).reshape(values.shape)
-
-
-def shift(f: GridFunction, offset: Sequence[int] | int) -> GridFunction:
-    """Periodically shift f by an integer offset vector (one entry per axis).
-
-    A positive entry moves content toward higher indices, so for M = 4,
-    shift([1,0,0,0], +1) = [0,1,0,0]; shifting by M is the identity.
-    """
-    offsets = np.atleast_1d(np.asarray(offset))
-    if offsets.shape != (f.grid.dims,):
-        raise ValueError(
-            f"offset must have one integer per axis ({f.grid.dims}), got shape {offsets.shape}"
-        )
-    if not np.issubdtype(offsets.dtype, np.integer):
-        raise ValueError("offset entries must be integers")
-    return GridFunction(f.grid, translated(f.values, f.grid, -offsets))

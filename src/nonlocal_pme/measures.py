@@ -74,8 +74,9 @@ class LevyMeasureSpec:
                     "alpha >= 2 breaks integrability of |z|^2 near the origin "
                     "against |z|^(-N-alpha), alpha <= 0 breaks the tail mass"
                 )
-            if self.multiplier is not None and not self.multiplier >= 0:
-                raise ValueError("multiplier must be nonnegative")
+            c = self.multiplier
+            if c is not None and not (math.isfinite(c) and c >= 0):
+                raise ValueError(f"multiplier must be finite and nonnegative, got {c!r}")
         elif self.kind == "atomic":
             if self.atoms is None:
                 raise ValueError("atomic kind requires atom pairs")

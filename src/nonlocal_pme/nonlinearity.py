@@ -187,33 +187,18 @@ class NonlinearitySpec:
     ) -> np.ndarray:
         """The bump sum  sum_i weights_i * raw(u - nodes_i / n).
 
-        The node sum is one matrix-vector product per row of the last axis.
-        An input of more than _BUMP_BLOCK + 1 points is summed in blocks of
-        about _BUMP_BLOCK points, so the points x nodes temporaries stay in
-        cache and do not grow with the input. A block holds whole rows, or
-        the columns of a long row from a multiple of the block size on; a
-        row's last block never holds a lone point, which BLAS sums in another
-        order than the trailing point of a longer product. Every value is
-        then bit for bit that of a single pass over the whole input with one
-        BLAS thread.
+        Each value is a node sum over its own input point alone, taken by
+        einsum in a fixed order and without BLAS, so any blocking, batch or
+        BLAS thread count gives the same bits. The points run in flat blocks
+        of _BUMP_BLOCK, so the points x nodes temporaries stay in cache.
         """
         scaled = nodes / float(self.mollification_index)
-
-        def bump_sum(part: np.ndarray) -> np.ndarray:
-            shifted = part[..., None] - scaled
-            return raw(shifted.reshape(-1)).reshape(shifted.shape) @ weights
-
-        if u.size <= _BUMP_BLOCK + 1:
-            return bump_sum(u)
-        rows = u.reshape(-1, u.shape[-1])
-        width = rows.shape[1]
-        step = max(1, _BUMP_BLOCK // width)
-        starts = range(0, max(width - 1, 1), _BUMP_BLOCK)
-        spans = list(zip(starts, [*starts[1:], width]))
-        out = np.empty(rows.shape)
-        for i in range(0, rows.shape[0], step):
-            for lo, hi in spans:
-                out[i : i + step, lo:hi] = bump_sum(rows[i : i + step, lo:hi])
+        flat = u.reshape(-1)
+        out = np.empty(flat.shape)
+        for lo in range(0, flat.size, _BUMP_BLOCK):
+            shifted = flat[lo : lo + _BUMP_BLOCK, None] - scaled
+            vals = raw(shifted.reshape(-1)).reshape(shifted.shape)
+            out[lo : lo + _BUMP_BLOCK] = np.einsum("ij,j->i", vals, weights)
         return out.reshape(u.shape)
 
     def value(self, u: np.ndarray | float) -> np.ndarray:
@@ -424,28 +409,6 @@ def lp_companion(spec: NonlinearitySpec, p: float) -> LpCompanion:
     tends to sqrt(2 * 2|xi|), so value(1) tends to 4/3.
     """
     return LpCompanion(spec=spec, entropy=PowerEntropy(float(p)))
-
-
-@dataclass(frozen=True)
-class HoelderCertificate:
-    """Sampled witness that |phi(s)| <= constant * |s|^beta on |s| <= radius."""
-
-    beta: float
-    radius: float
-    constant: float
-
-
-def hoelder_certificate(spec: NonlinearitySpec, beta: float, radius: float) -> HoelderCertificate:
-    """Largest sampled ratio |phi(s)| / |s|^beta over 4096 log-spaced
-    magnitudes |s| <= radius of each sign."""
-    if not 0.0 < beta <= 1.0:
-        raise AssumptionError(f"beta must lie in (0, 1], got {beta!r}")
-    if not radius > 0:
-        raise AssumptionError("radius must be positive")
-    mags = radius * np.geomspace(1e-12, 1.0, 4096)
-    pts = np.concatenate([-mags[::-1], mags])
-    ratios = np.abs(spec.value(pts)) / np.abs(pts) ** beta
-    return HoelderCertificate(beta=beta, radius=radius, constant=float(np.max(ratios)))
 
 
 def lipschitz_bound(spec: NonlinearitySpec, radius: float) -> float:

@@ -48,6 +48,12 @@ def test_fractional_spec_rejects_bad_orders():
         LevyMeasureSpec.fractional(-1.0, dims=1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+def test_fractional_multiplier_must_be_finite_and_nonnegative(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        LevyMeasureSpec.fractional(1.0, dims=1, multiplier=bad)
+
+
 def test_annulus_mass_against_quadrature():
     spec = LevyMeasureSpec.fractional(0.8, dims=1)
     c = spec.effective_multiplier

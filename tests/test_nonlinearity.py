@@ -1,7 +1,11 @@
 """Nonlinearities, their smoothed versions, entropies, and companion maps."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,6 @@ from nonlocal_pme import (
     NonlinearitySpec,
     PathFunction,
     PowerEntropy,
-    hoelder_certificate,
     lipschitz_bound,
     lp_companion,
     nonlinearity,
@@ -157,32 +160,58 @@ SMOOTHED_KINDS = [
 ]
 
 
+def _pointwise(f, u):
+    """f taken one point at a time, each distinct point once."""
+    memo = {x: f(x) for x in np.unique(u)}
+    return np.array([memo[x] for x in u.flat]).reshape(u.shape)
+
+
 @pytest.mark.parametrize("spec", SMOOTHED_KINDS, ids=lambda spec: spec.kind)
 def test_blocked_bump_sums_match_single_passes(spec):
+    # every value of a bump sum is that of its own point alone, whatever the
+    # batch: shapes around the block size, stacked rows, a stack of 96^2
+    # frames (drawn from 512 states, so each state sits at many places in
+    # its blocks), and 2,000 distinct states
     block = nonlinearity._BUMP_BLOCK
     rng = np.random.default_rng(17)
+    pool = 3.0 * rng.standard_normal(512)
+    shapes = [(), (1,), (block - 1,), (block,), (block + 1,), (2 * block + 1,), (9, 43), (3, 96 * 96)]
+    batches = [pool[rng.integers(pool.size, size=shape)] for shape in shapes]
+    batches.append(rng.uniform(-2.0, 2.0, 2000))
     for name in ("value", "derivative", "primitive"):
         f = getattr(spec, name)
-        # a long row runs in blocks from multiples of the block size; its last
-        # block is not a multiple of 4 long, and 3 * block + 1 points end in a
-        # block of block + 1 points rather than a lone one
-        for length in (2 * block + 37, 3 * block + 1):
-            u = 3.0 * rng.standard_normal(length)
-            cuts = [0, block, 2 * block, length]
-            want = np.concatenate([f(u[lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
-            assert np.array_equal(f(u), want)
-        # stacked rows of a third of a block or of one point, more points than
-        # a block in all: each row comes out as it does alone
-        for shape in ((9, block // 3 + 1), (2 * block + 3, 1)):
-            rows = 3.0 * rng.standard_normal(shape)
-            got = f(rows)
-            assert got.shape == rows.shape
-            for i in range(rows.shape[0]):
-                assert np.array_equal(got[i], f(rows[i]))
-        # a 0-d input gives a 0-d result, the value of a one-point batch
-        x = float(rng.standard_normal())
-        assert f(x).shape == ()
-        assert f(x) == f(np.array([x]))[0]
+        for u in batches:
+            got = f(u)
+            assert got.shape == u.shape
+            assert np.array_equal(got, _pointwise(f, u)), (name, u.shape)
+
+
+def test_bump_sums_do_not_depend_on_the_blas_thread_count():
+    # the bump sums call no BLAS, so a child interpreter with two BLAS threads
+    # gives the bytes of this process
+    spec = NonlinearitySpec.pme(2.0, mollification_index=2)
+    u = np.random.default_rng(11).uniform(-2.0, 2.0, 1000)
+    names = ("value", "derivative", "primitive")
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from nonlocal_pme import NonlinearitySpec\n"
+        "u = np.frombuffer(sys.stdin.buffer.read())\n"
+        f"spec = {spec!r}\n"
+        f"for name in {names!r}:\n"
+        "    sys.stdout.buffer.write(getattr(spec, name)(u).tobytes())\n"
+    )
+    package_root = str(Path(nonlinearity.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        input=u.tobytes(),
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
+        capture_output=True,
+        check=True,
+        timeout=120,
+    )
+    assert child.stdout == b"".join(getattr(spec, name)(u).tobytes() for name in names)
 
 
 @pytest.mark.parametrize("shape", [(300_000,), (33, 96 * 96)], ids=["row", "frames"])
@@ -248,16 +277,6 @@ def test_companion_derivative_route():
 def test_companion_requires_smoothing():
     with pytest.raises(AssumptionError):
         lp_companion(NonlinearitySpec.pme(2.0), 2.0)
-
-
-def test_hoelder_certificate_closed_forms():
-    # ratio |s|^m / |s|^beta peaks at 1 for beta = m and at R^(m-beta) below
-    half = hoelder_certificate(NonlinearitySpec.pme(0.5), beta=0.5, radius=1.0)
-    assert half.constant == pytest.approx(1.0, rel=1e-12)
-    quad = hoelder_certificate(NonlinearitySpec.pme(2.0), beta=1.0, radius=2.0)
-    assert quad.constant == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(AssumptionError):
-        hoelder_certificate(NonlinearitySpec.pme(1.0), beta=1.5, radius=1.0)
 
 
 def test_lipschitz_bound_values():

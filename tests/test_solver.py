@@ -257,6 +257,12 @@ def test_convergence_study_atomizes_each_level_once(monkeypatch):
     assert [t.atoms.truncation_radius for t in study.trajectories] == list(radii)
 
 
+def test_energy_budget_pair_atomizes_once(monkeypatch):
+    atomized = _count_calls(monkeypatch, "truncate_and_atomize", measures)
+    energy_budget_pair(gaussian_config())
+    assert len(atomized) == 1
+
+
 def test_oleinik_identical_pair_vanishes():
     traj, _ = run(gaussian_config(duration=0.05))
     atoms = truncate_and_atomize(
