@@ -11,6 +11,7 @@ evaluator used by the dissipation checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +23,13 @@ from .measures import AssumptionError, AtomMeasure, KernelField
 _VALUE_NODES, _VALUE_WEIGHTS = bump_weighted_nodes(64)
 _SLOPE_NODES, _SLOPE_WEIGHTS = bump_derivative_weighted_nodes(64)
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Maps the 16 node values on a segment to the Legendre coefficients of their
+# degree-15 interpolant (exact by discrete orthogonality of the GL rule).
+_GL16_COEFFS = (
+    (np.arange(16) + 0.5)[:, None]
+    * np.polynomial.legendre.legvander(_GL16_NODES, 15).T
+    * _GL16_WEIGHTS[None, :]
+)
 # Points per pass of a bump sum. 128 points x 64 nodes makes each temporary
 # 64 KB: it stays in cache, and below glibc's 128 KB mmap threshold, so the
 # heap recycles it. Temporaries of 256 KB and up are mapped and unmapped on
@@ -201,6 +209,13 @@ class NonlinearitySpec:
             out[lo : lo + _BUMP_BLOCK] = np.einsum("ij,j->i", vals, weights)
         return out.reshape(u.shape)
 
+    @cached_property
+    def _anchors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bump sums of the raw map and of its primitive at 0, which
+        value and primitive subtract; they depend on the spec alone."""
+        zero = np.zeros(())
+        return self._averaged(self.raw_value, zero), self._averaged(self._raw_primitive, zero)
+
     def value(self, u: np.ndarray | float) -> np.ndarray:
         """The map in effect: the raw map, or its bump average re-anchored.
 
@@ -210,7 +225,7 @@ class NonlinearitySpec:
         u = np.asarray(u, dtype=np.float64)
         if self.mollification_index == 0:
             return self.raw_value(u)
-        return self._averaged(self.raw_value, u) - self._averaged(self.raw_value, np.zeros(()))
+        return self._averaged(self.raw_value, u) - self._anchors[0]
 
     def derivative(self, u: np.ndarray | float) -> np.ndarray:
         """Slope of the map in effect.
@@ -235,12 +250,8 @@ class NonlinearitySpec:
         w = np.asarray(w, dtype=np.float64)
         if self.mollification_index == 0:
             return self._raw_primitive(w)
-        zero = np.zeros(())
-        return (
-            self._averaged(self._raw_primitive, w)
-            - self._averaged(self._raw_primitive, zero)
-            - self._averaged(self.raw_value, zero) * w
-        )
+        value_anchor, primitive_anchor = self._anchors
+        return self._averaged(self._raw_primitive, w) - primitive_anchor - value_anchor * w
 
 
 def _segment_edges(wmax: float, segments: int, grade: float | None) -> np.ndarray:
@@ -257,41 +268,69 @@ def _cumulative_integral(
     w: np.ndarray,
     grade: float | None = None,
 ) -> np.ndarray:
-    """Integral of func from 0 to each entry of w, composite 16-point GL on
-    256 segments per sign.
+    """Integral of func from 0 to each entry of w, from a table of 256
+    segments per sign with 16 Gauss-Legendre nodes each.
 
     Serves the companion map, whose integrand has no closed antiderivative.
+    func may return one row of values per input point or a stack of rows
+    (one per integrand); the result then carries the same leading axes. An
+    all-zero w evaluates nothing and gives one row of zeros.
 
     Segment edges run from 0 out to the largest query magnitude on each sign,
     geometrically graded toward 0 when grade is given (this resolves
-    integrable power-law peaks there), uniform otherwise. Each query adds the
-    cumulative full segments below it plus one partial-segment quadrature, so
-    the decomposition is exact for any segment assignment.
+    integrable power-law peaks there), uniform otherwise. func is evaluated
+    on the table nodes alone. Each query adds the cumulative full segments
+    below it and the integral, in closed form, of the degree-15 Legendre
+    interpolant of its segment's node values up to the query; at a segment's
+    right edge that is the segment's own Gauss-Legendre sum.
     """
     w = np.asarray(w, dtype=np.float64)
-    out = np.zeros(w.shape, dtype=np.float64)
+    out = None
     for sgn in (1.0, -1.0):
         mask = (w * sgn) > 0.0
         if not np.any(mask):
             continue
-        wmax = float(np.max(w[mask] * sgn))
-        mags = _segment_edges(wmax, 256, grade)
-        edges = sgn * mags
-        lo, hi = edges[:-1], edges[1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * _GL16_NODES[None, :]
-        vals = func(nodes.reshape(-1)).reshape(nodes.shape)
-        cum = np.concatenate([[0.0], np.cumsum((vals @ _GL16_WEIGHTS) * half)])
-        q = w[mask]
-        idx = np.clip(np.searchsorted(mags, np.abs(q)) - 1, 0, mags.size - 2)
-        a = edges[idx]
-        mid_q = 0.5 * (a + q)
-        half_q = 0.5 * (q - a)
-        nodes_q = mid_q[:, None] + half_q[:, None] * _GL16_NODES[None, :]
-        vals_q = func(nodes_q.reshape(-1)).reshape(nodes_q.shape)
-        out[mask] = cum[idx] + (vals_q @ _GL16_WEIGHTS) * half_q
-    return out
+        part = _one_sided_integral(func, w[mask], sgn, grade)
+        if out is None:
+            out = np.zeros(part.shape[:-1] + w.shape)
+        out[..., mask] = part
+    return out if out is not None else np.zeros(w.shape)
+
+
+def _one_sided_integral(
+    func: Callable[[np.ndarray], np.ndarray],
+    q: np.ndarray,
+    sgn: float,
+    grade: float | None,
+) -> np.ndarray:
+    """_cumulative_integral for the flat queries q, all of sign sgn; the
+    table's temporaries are freed on return, before the other sign's."""
+    mags = _segment_edges(float(np.max(q * sgn)), 256, grade)
+    edges = sgn * mags
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * _GL16_NODES[None, :]
+    vals = func(nodes.reshape(-1))
+    vals = vals.reshape(vals.shape[:-1] + nodes.shape)
+    rows = vals.shape[:-2]
+    sums = np.einsum("...sj,j->...s", vals, _GL16_WEIGHTS) * half
+    cum = np.concatenate([np.zeros(rows + (1,)), np.cumsum(sums, axis=-1)], axis=-1)
+    idx = np.clip(np.searchsorted(mags, np.abs(q)) - 1, 0, mags.size - 2)
+    t = (q - mid[idx]) / half[idx]
+    # A_k(t) = integral of P_k from -1 to t: t + 1 for k = 0, else
+    # (P_{k+1}(t) - P_{k-1}(t)) / (2k + 1).
+    legendre = np.polynomial.legendre.legvander(t, 16)
+    anti = np.empty((t.size, 16))
+    anti[:, 0] = t + 1.0
+    anti[:, 1:] = (legendre[:, 2:] - legendre[:, :-2]) / (2.0 * np.arange(1, 16) + 1.0)
+    # einsum, like every sum here, calls no BLAS: a first BLAS matrix product
+    # alone touches about 200 KB of OpenBLAS buffer.
+    partial = np.einsum("qk,kj->qj", anti, _GL16_COEFFS)
+    parts = [
+        cum[row][idx] + half[idx] * np.einsum("qj,qj->q", partial, vals[row][idx])
+        for row in np.ndindex(rows)
+    ]
+    return np.stack(parts).reshape(rows + q.shape)
 
 
 @dataclass(frozen=True)
@@ -346,8 +385,10 @@ class LpCompanion:
     value(w) integrates sqrt(curvature * smoothed slope) from 0 to w. For
     p < 2 the curvature blows up at 0, so the integral is evaluated with the
     regularized curvature at delta = 1e-2, 1e-3, 1e-4, checked for
-    monotone convergence, and the last value is reported. The map is odd
-    whenever the underlying nonlinearity is odd.
+    monotone convergence, and the last value is reported. The three levels
+    share one table: one mesh, graded for the smallest delta, and one
+    evaluation of the smoothed slope on its nodes. The map is odd whenever
+    the underlying nonlinearity is odd.
     """
 
     spec: NonlinearitySpec
@@ -373,25 +414,23 @@ class LpCompanion:
 
             grade = None if self.entropy.p == 2.0 else 1e-6 * scale
             return _cumulative_integral(integrand, w, grade=grade)
-        previous = None
-        current = np.zeros_like(w)
-        for delta in _COMPANION_DELTAS:
-            def integrand(x: np.ndarray, d: float = delta) -> np.ndarray:
-                return np.sqrt(self.entropy.regularized_second(x, d) * self._slope_floor(x))
 
-            current = _cumulative_integral(
-                integrand, w, grade=min(0.25 * delta, 1e-3 * scale)
+        def integrands(x: np.ndarray) -> np.ndarray:
+            slope = self._slope_floor(x)
+            rows = [self.entropy.regularized_second(x, d) * slope for d in _COMPANION_DELTAS]
+            return np.sqrt(np.stack(rows))
+
+        levels = _cumulative_integral(
+            integrands, w, grade=min(0.25 * _COMPANION_DELTAS[-1], 1e-3 * scale)
+        )
+        # The regularized curvature rises pointwise as delta shrinks, so the
+        # values must approach the limit from below in |.|.
+        steps = np.diff(levels, axis=0) * np.sign(w)
+        if np.any(steps < -1e-10 * (1.0 + np.abs(levels[1:]))):
+            raise AssumptionError(
+                "regularized companion values moved away from the limit as delta shrank"
             )
-            if previous is not None:
-                # The regularized curvature rises pointwise as delta shrinks,
-                # so the values must approach the limit from below in |.|.
-                step = (current - previous) * np.sign(w)
-                if np.any(step < -1e-10 * (1.0 + np.abs(current))):
-                    raise AssumptionError(
-                        "regularized companion values moved away from the limit as delta shrank"
-                    )
-            previous = current
-        return current
+        return levels[-1]
 
     def derivative(self, w: np.ndarray | float) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
