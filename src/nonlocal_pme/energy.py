@@ -40,7 +40,9 @@ class PathFunction:
 
     frames has shape (K+1, npoints) with frame k at time t_k = k dt; the
     times must start at 0 and be uniformly spaced (non-uniform grids are
-    rejected, the discrete balance identities need a single dt).
+    rejected, the discrete balance identities need a single dt). The path
+    holds read-only copies, except that a frame array which is already
+    read-only and owns its data is adopted without one.
     """
 
     grid: Grid
@@ -68,7 +70,8 @@ class PathFunction:
         if not np.all(np.isfinite(frames)):
             raise ValueError("path frames must be finite")
         times = times.copy()
-        frames = frames.copy()
+        if frames.flags.writeable or not frames.flags.owndata:
+            frames = frames.copy()
         times.flags.writeable = False
         frames.flags.writeable = False
         object.__setattr__(self, "times", times)

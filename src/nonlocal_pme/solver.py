@@ -27,6 +27,11 @@ from .operators import _apply_atoms
 _INF = float("inf")
 # The norms every run reports.
 _LP_ORDERS = (1.0, 2.0, 4.0, _INF)
+# Points per block of the frame diagnostics: 16,384 float64 values, 128 KB.
+# As with nonlinearity._BUMP_BLOCK, each temporary then stays in cache and
+# below glibc's 128 KB mmap threshold, so the heap recycles it; whole-stack
+# temporaries are mapped and page-faulted afresh on every pass.
+_FRAME_BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -240,22 +245,49 @@ def _run(config: SolverConfig, atoms: AtomMeasure) -> tuple[Trajectory, Diagnost
             )
         frames[k + 1] = u
 
+    # Read-only, the stack is adopted by the path instead of copied.
+    frames.flags.writeable = False
     path = PathFunction(grid, np.linspace(0.0, config.duration, nsteps + 1), frames)
-    budget = _energy_balance(path, spec, lip, frame_energy, flux_square)
+    table = _frame_table(path, spec)
+    budget = _energy_balance(path, table["phi_integrals"], lip, frame_energy, flux_square)
     traj = Trajectory(path=path, config=config, atoms=atoms, budget=budget)
-    return traj, _diagnose(traj, frame_energy)
+    return traj, _diagnose(budget, table, frame_energy)
+
+
+def _frame_table(path: PathFunction, spec: NonlinearitySpec) -> dict:
+    """The primitive integral, mass, minimum and _LP_ORDERS norms of each
+    frame, as arrays with one entry per frame under the keys "phi_integrals",
+    "masses", "minima" and "norms" (a dict by order).
+
+    The frames are reduced in blocks of whole rows of at most
+    _FRAME_BLOCK_POINTS points (one row if a frame is larger). Every value
+    is a reduction over its own row, and the primitive is pointwise, so the
+    table equals the whole-stack expressions bit for bit.
+    """
+    hN = path.grid.cell_volume
+    frames = path.frames
+    nframes = frames.shape[0]
+    rows = max(1, _FRAME_BLOCK_POINTS // path.grid.npoints)
+    phi_integrals, masses, minima = np.empty(nframes), np.empty(nframes), np.empty(nframes)
+    norms = {p: np.empty(nframes) for p in _LP_ORDERS}
+    for lo in range(0, nframes, rows):
+        block = frames[lo : lo + rows]
+        phi_integrals[lo : lo + rows] = hN * spec.primitive(block).sum(axis=1)
+        masses[lo : lo + rows] = hN * block.sum(axis=1)
+        minima[lo : lo + rows] = np.min(block, axis=1)
+        for p, series in norms.items():
+            series[lo : lo + rows] = lp_norms(block, hN, p)
+    return {"phi_integrals": phi_integrals, "masses": masses, "minima": minima, "norms": norms}
 
 
 def _energy_balance(
     path: PathFunction,
-    spec: NonlinearitySpec,
+    phi_integrals: np.ndarray,
     lip: float,
     frame_energy: np.ndarray,
     flux_square: np.ndarray,
 ) -> EnergyBudgetReport:
-    hN = path.grid.cell_volume
     dt = path.dt
-    phi_integrals = hN * spec.primitive(path.frames).sum(axis=1)
     cumulative = np.concatenate([[0.0], np.cumsum(dt * frame_energy)])
     residuals = phi_integrals + cumulative - phi_integrals[0]
     bounds = np.concatenate([[0.0], np.cumsum(0.5 * lip * dt * dt * flux_square)])
@@ -272,40 +304,57 @@ def _energy_balance(
     )
 
 
-def _diagnose(traj: Trajectory, frame_energy: np.ndarray) -> DiagnosticsReport:
-    path = traj.path
-    budget = traj.budget
-    hN = path.grid.cell_volume
-    frames = path.frames
+def _first_failure(failed: np.ndarray, times: np.ndarray, first: int = 0) -> str:
+    """Where a violation first shows: failed[i] is the test at frame first + i."""
+    k = first + int(np.argmax(failed))
+    return f", first at frame {k} (t = {times[k]:.6g})"
 
-    masses = hN * frames.sum(axis=1)
-    norms = {p: lp_norms(frames, hN, p) for p in _LP_ORDERS}
+
+def _diagnose(
+    budget: EnergyBudgetReport, table: dict, frame_energy: np.ndarray
+) -> DiagnosticsReport:
+    """Check the frame table and the run's energies against the scheme's
+    conservation, decay and minimum principles; each flag names the first
+    frame at which its test failed."""
+    times = budget.times
+    masses = table["masses"]
+    norms = table["norms"]
 
     flags: list[str] = []
     l1_initial = norms[1.0][0]
-    drift = float(np.max(np.abs(masses - masses[0])))
+    deviation = np.abs(masses - masses[0])
+    drift = float(np.max(deviation))
     mass_tol = 1e-12 * max(l1_initial, 1e-300)
     if drift > mass_tol:
-        flags.append(f"mass drift {drift:.3e} exceeds {mass_tol:.3e}")
+        flags.append(f"mass drift {drift:.3e} exceeds {mass_tol:.3e}"
+                     + _first_failure(deviation > mass_tol, times))
     for p, series in norms.items():
         tol = 1e-10 * (1.0 + series[0])
-        increase = float(np.max(np.diff(series), initial=0.0))
+        steps = np.diff(series)
+        increase = float(np.max(steps, initial=0.0))
         if increase > tol:
-            flags.append(f"L^{p:g} norm increased by {increase:.3e} (tolerance {tol:.3e})")
-    minima = np.min(frames, axis=1)
-    min_drop = float(np.max(minima[:-1] - minima[1:], initial=0.0))
+            flags.append(f"L^{p:g} norm increased by {increase:.3e} (tolerance {tol:.3e})"
+                         + _first_failure(steps > tol, times, 1))
+    minima = table["minima"]
+    drops = minima[:-1] - minima[1:]
+    min_drop = float(np.max(drops, initial=0.0))
     min_tol = 1e-10 * (1.0 + abs(float(minima[0])))
     if min_drop > min_tol:
-        flags.append(f"pointwise minimum decreased by {min_drop:.3e} (tolerance {min_tol:.3e})")
+        flags.append(f"pointwise minimum decreased by {min_drop:.3e} (tolerance {min_tol:.3e})"
+                     + _first_failure(drops > min_tol, times, 1))
     energy_floor = float(np.min(frame_energy, initial=0.0))
     energy_tol = 1e-12 * (1.0 + float(np.max(np.abs(frame_energy), initial=0.0)))
     if energy_floor < -energy_tol:
-        flags.append(f"frame energy went negative: {energy_floor:.3e}")
+        flags.append(f"frame energy went negative: {energy_floor:.3e}"
+                     + _first_failure(frame_energy < -energy_tol, times))
     if not budget.enclosure_ok:
+        residuals = budget.residuals
+        overshoot = residuals - budget.residual_bounds
+        allowance = budget.roundoff_allowance
         flags.append(
-            f"energy residual left its convexity enclosure: min {np.min(budget.residuals):.3e}, "
-            f"max overshoot {np.max(budget.residuals - budget.residual_bounds):.3e} "
-            f"(roundoff allowance {budget.roundoff_allowance:.3e})"
+            f"energy residual left its convexity enclosure: min {np.min(residuals):.3e}, "
+            f"max overshoot {np.max(overshoot):.3e} (roundoff allowance {allowance:.3e})"
+            + _first_failure((residuals < -allowance) | (overshoot > allowance), times)
         )
 
     return DiagnosticsReport(budget=budget, masses=masses, norms=norms, violation_flags=tuple(flags))

@@ -265,6 +265,36 @@ def test_path_function_validation():
         PathFunction(grid, np.array([0.0, 1.0]), np.zeros((3, 8)))
 
 
+def test_path_function_adopts_a_read_only_array_that_owns_its_data():
+    grid = Grid(dims=1, points_per_axis=8, halfwidth=2.0)
+    frames = np.empty((2, 8))
+    frames[:] = np.arange(16.0).reshape(2, 8)
+    frames.flags.writeable = False
+    path = PathFunction(grid, np.array([0.0, 1.0]), frames)
+    assert np.shares_memory(path.frames, frames)
+    assert not path.frames.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["writable", "view"])
+def test_path_function_copies_an_array_its_caller_can_change(kind):
+    grid = Grid(dims=1, points_per_axis=8, halfwidth=2.0)
+    owner = np.arange(24.0).reshape(3, 8)
+    if kind == "writable":
+        frames = owner[:2].copy()
+    else:
+        frames = owner[:2]
+        frames.flags.writeable = False
+    path = PathFunction(grid, np.array([0.0, 1.0]), frames)
+    assert not np.shares_memory(path.frames, owner) and not np.shares_memory(path.frames, frames)
+    expected = np.arange(16.0).reshape(2, 8)
+    if kind == "writable":
+        frames[0, 0] = -1.0
+    else:
+        owner[0, 0] = -1.0
+    np.testing.assert_array_equal(path.frames, expected)
+    assert not path.frames.flags.writeable
+
+
 def test_density_approximation_band_and_shrink():
     grid = Grid(dims=1, points_per_axis=64, halfwidth=8.0)
     x = grid.axis_coordinates()

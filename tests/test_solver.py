@@ -1,6 +1,8 @@
 """The explicit monotone scheme and its diagnostic reports."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from nonlocal_pme import (
     write_summary_json,
 )
 from nonlocal_pme import cli, energy, measures, operators, solver
+from nonlocal_pme.grid import lp_norms
 
 
 def two_cell_atoms():
@@ -185,6 +188,142 @@ def test_budgets_reuse_the_run_record(monkeypatch):
         assert np.array_equal(getattr(traj.budget, name), value), name
     for name in ("phi_integrals", "cumulative_energy", "residuals", "residual_bounds"):
         assert np.array_equal(getattr(report.budget, name), expected[name]), name
+
+
+def gaussian_2d_config(**overrides):
+    """The 96^2 shape of the 2-D benchmark config: 9,216 points a frame."""
+    grid = Grid(dims=2, points_per_axis=96, halfwidth=8.0)
+    coords = grid.coordinates()
+    settings = dict(
+        measure=LevyMeasureSpec.fractional(1.0, dims=2),
+        truncation_radius=0.25,
+        mollification_index=0,
+        nonlinearity=NonlinearitySpec.pme(2.0),
+        grid=grid,
+        duration=0.5,
+        initial=GridFunction(grid, np.exp(-np.sum(coords * coords, axis=1))),
+        cfl_theta=0.4,
+        tail_cutoff=4.0,
+    )
+    settings.update(overrides)
+    return SolverConfig(**settings)
+
+
+@pytest.mark.parametrize("case", ["2d-row-blocks", "1d-one-block", "short-last-block"])
+def test_frame_table_matches_the_whole_stack_formulas(monkeypatch, case):
+    if case == "2d-row-blocks":
+        config, rows = gaussian_2d_config(mollification_index=2), 1
+    elif case == "1d-one-block":
+        config, rows = gaussian_config(), None
+    else:
+        config, rows = gaussian_config(dt=0.25 / 16), 3
+        monkeypatch.setattr(solver, "_FRAME_BLOCK_POINTS", 3 * config.grid.npoints)
+    blocks = []
+    primitive = NonlinearitySpec.primitive
+
+    def recorded(self, w):
+        blocks.append(np.shape(w))
+        return primitive(self, w)
+
+    monkeypatch.setattr(NonlinearitySpec, "primitive", recorded)
+    traj, report = run(config)
+    frames = traj.path.frames
+    nframes, npoints = frames.shape
+    rows = rows or nframes
+    assert blocks == [(min(rows, nframes - lo), npoints) for lo in range(0, nframes, rows)]
+    if case == "short-last-block":
+        assert nframes == 17
+
+    hN = config.grid.cell_volume
+    spec = config.effective_nonlinearity
+    phi_integrals = hN * spec.primitive(frames).sum(axis=1)
+    table = solver._frame_table(traj.path, spec)
+    assert np.array_equal(report.masses, hN * frames.sum(axis=1))
+    assert np.array_equal(table["minima"], np.min(frames, axis=1))
+    for p in solver._LP_ORDERS:
+        assert np.array_equal(report.norms[p], lp_norms(frames, hN, p)), p
+    assert np.array_equal(traj.budget.phi_integrals, phi_integrals)
+    residuals = phi_integrals + traj.budget.cumulative_energy - phi_integrals[0]
+    assert np.array_equal(traj.budget.residuals, residuals)
+
+
+def test_run_holds_little_beyond_its_frame_stack():
+    # The diagnostics reduce the frames in blocks and the path adopts the
+    # run's stack, so the traced peak stays near one stack; whole-stack
+    # temporaries and a copy of the stack put it above 4 stacks.
+    config = gaussian_2d_config()
+    tracemalloc.start()
+    try:
+        traj, _ = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * traj.path.frames.nbytes
+
+
+def test_run_hands_over_a_read_only_frame_stack():
+    traj, _ = run(gaussian_config())
+    assert not traj.path.frames.flags.writeable
+
+
+def _break_mass(budget, table, energy):
+    masses = table["masses"].copy()
+    masses[3:] += 1e-6 * masses[0]
+    return budget, {**table, "masses": masses}, energy
+
+
+def _break_norm(budget, table, energy):
+    series = table["norms"][2.0].copy()
+    series[3] = series[2] + 1e-6
+    return budget, {**table, "norms": {**table["norms"], 2.0: series}}, energy
+
+
+def _break_minimum(budget, table, energy):
+    minima = table["minima"].copy()
+    minima[3] = minima[2] - 1e-6
+    return budget, {**table, "minima": minima}, energy
+
+
+def _break_energy(budget, table, energy):
+    energy = energy.copy()
+    energy[3] = -1e-6
+    return budget, table, energy
+
+
+def _residual_below_zero(budget, table, energy):
+    residuals = budget.residuals.copy()
+    residuals[3] = -1e-6
+    return replace(budget, residuals=residuals, enclosure_ok=False), table, energy
+
+
+def _residual_above_bound(budget, table, energy):
+    residuals = budget.residuals.copy()
+    residuals[3] = budget.residual_bounds[3] + 1e-6
+    return replace(budget, residuals=residuals, enclosure_ok=False), table, energy
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (_break_mass, "mass drift"),
+        (_break_norm, "L^2 norm increased"),
+        (_break_minimum, "pointwise minimum decreased"),
+        (_break_energy, "frame energy went negative"),
+        (_residual_below_zero, "energy residual left its convexity enclosure"),
+        (_residual_above_bound, "energy residual left its convexity enclosure"),
+    ],
+    ids=["mass", "norm", "minimum", "energy", "residual-below-zero", "residual-above-bound"],
+)
+def test_violation_flag_names_the_first_failing_frame(broken, message):
+    traj, report = run(gaussian_config())
+    table = solver._frame_table(traj.path, traj.config.effective_nonlinearity)
+    energy = np.full(traj.path.nsteps, 1e-3)
+    assert solver._diagnose(traj.budget, table, energy).violation_flags == ()
+    flags = solver._diagnose(*broken(traj.budget, table, energy)).violation_flags
+    t3 = traj.path.times[3]
+    assert len(flags) == 1
+    assert flags[0].startswith(message)
+    assert flags[0].endswith(f", first at frame 3 (t = {t3:.6g})")
 
 
 def test_companion_energy_matches_the_operator_pairing():
