@@ -16,7 +16,6 @@ from .bump import (
     bump_derivative_weighted_nodes,
     bump_weighted_nodes,
     discrete_bump_kernel,
-    smoothstep_down,
     standard_bump,
 )
 from .cli import ConfigError, ExperimentConfig, load_experiment, main
@@ -29,7 +28,6 @@ from .energy import (
     shrink_clamp,
     sobolev_seminorm_direct,
     sobolev_seminorm_fourier,
-    spatial_cutoff,
     time_tail,
 )
 from .grid import Grid, GridFunction, lp_norm, mass
@@ -40,7 +38,7 @@ from .measures import (
     LevyMeasureSpec,
     annulus_mass,
     comparability_bounds,
-    moments,
+    compensated_atoms,
     normalization_multiplier,
     second_moment_within,
     shift_bound_ratio,
@@ -56,9 +54,7 @@ from .nonlinearity import (
     stroock_varopoulos_gap,
 )
 from .operators import (
-    CompensatedOperator,
     OperatorReport,
-    apply_compensated,
     apply_truncated,
     fourier_fractional,
     grid_frequencies,
@@ -88,7 +84,6 @@ from .solver import (
 __all__ = [
     "AssumptionError",
     "AtomMeasure",
-    "CompensatedOperator",
     "ConfigError",
     "ConvergenceReport",
     "DiagnosticsReport",
@@ -108,13 +103,13 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "annulus_mass",
-    "apply_compensated",
     "apply_truncated",
     "bilinear",
     "bump_derivative_weighted_nodes",
     "bump_weighted_nodes",
     "cfl_dt",
     "comparability_bounds",
+    "compensated_atoms",
     "convergence_study",
     "density_approximation",
     "discrete_bump_kernel",
@@ -128,7 +123,6 @@ __all__ = [
     "lp_norm",
     "main",
     "mass",
-    "moments",
     "normalization_multiplier",
     "oleinik_report",
     "operator_report",
@@ -139,10 +133,8 @@ __all__ = [
     "second_moment_within",
     "shift_bound_ratio",
     "shrink_clamp",
-    "smoothstep_down",
     "sobolev_seminorm_direct",
     "sobolev_seminorm_fourier",
-    "spatial_cutoff",
     "sphere_area",
     "standard_bump",
     "step",

@@ -68,24 +68,3 @@ def discrete_bump_kernel(radius: int) -> np.ndarray:
     # Sample strictly inside the support so endpoint zeros do not pad the kernel.
     samples = standard_bump(offsets / (radius + 1.0))
     return samples / samples.sum()
-
-
-def smoothstep_down(u: np.ndarray | float) -> np.ndarray:
-    """C-infinity monotone transition: 1 for u <= 0, 0 for u >= 1.
-
-    Built from the partition-of-unity quotient B(1-u) / (B(1-u) + B(u)) with
-    B(v) = exp(-1/v) on v > 0.
-    """
-    u = np.asarray(u, dtype=np.float64)
-
-    def _b(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        pos = v > 0
-        out[pos] = np.exp(-1.0 / v[pos])
-        return out
-
-    upper = _b(1.0 - u)
-    lower = upper + _b(u)
-    with np.errstate(invalid="ignore"):
-        val = np.where(lower > 0, upper / np.where(lower > 0, lower, 1.0), 0.0)
-    return np.where(u <= 0.0, 1.0, np.where(u >= 1.0, 0.0, val))

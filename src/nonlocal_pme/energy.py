@@ -15,9 +15,9 @@ piecewise-linear correlation quadrature + analytic far tail). Their agreement
 is a cross-check of the symbol normalization, so the two implementations
 deliberately share no code.
 
-The remaining helpers (soft shrink-clamp, space-time mollification, smooth
-spatial cutoff) reproduce, at desk scale, the approximation steps used to
-upgrade distributional solutions to energy solutions.
+The remaining helpers (soft shrink-clamp, space-time mollification)
+reproduce, at desk scale, the approximation steps used to upgrade
+distributional solutions to energy solutions.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bump import discrete_bump_kernel, smoothstep_down, standard_bump
+from .bump import discrete_bump_kernel, standard_bump
 from .grid import Grid, GridFunction, translated
 from .measures import AtomMeasure, KernelField, normalization_multiplier
 from .operators import grid_frequencies
@@ -337,18 +337,3 @@ def density_approximation(f: PathFunction, delta: float) -> PathFunction:
     clamped = shrink_clamp(first, delta)
     second = _mollify_space_time(clamped, f.grid, ks, kt)
     return PathFunction(f.grid, f.times, second)
-
-
-def spatial_cutoff(grid: Grid, inner_radius: float) -> GridFunction:
-    """Smooth radial cutoff: 1 on |x| <= inner_radius, 0 beyond twice that."""
-    if not inner_radius > 0:
-        raise ValueError("inner_radius must be positive")
-    if 2.0 * inner_radius > grid.halfwidth:
-        raise ValueError(
-            f"cutoff support |x| <= {2 * inner_radius} exceeds the grid halfwidth "
-            f"{grid.halfwidth}"
-        )
-    coords = grid.coordinates()
-    radii = np.sqrt(np.sum(coords**2, axis=1))
-    profile = smoothstep_down((radii - inner_radius) / inner_radius)
-    return GridFunction(grid, profile)

@@ -162,29 +162,6 @@ def _radial_tail_integral(spec: LevyMeasureSpec, lower: float, upper: float, pow
     return area * c * (upper**expo - lower**expo) / expo
 
 
-def moments(spec: LevyMeasureSpec) -> tuple[float, float]:
-    """(second moment inside the unit ball, total mass outside it).
-
-    These are the two finiteness quantities every admissible jump measure
-    must have; the unit-ball boundary |z| = 1 counts toward the second
-    moment. Divergent cases raise AssumptionError naming the culprit.
-    """
-    if spec.kind == "atomic":
-        assert spec.atoms is not None
-        sigma = 0.0
-        pi_mass = 0.0
-        for z, w in spec.atoms:
-            r2 = sum(c * c for c in z)
-            if r2 <= 1.0:
-                sigma += r2 * w
-            else:
-                pi_mass += w
-        return sigma, pi_mass
-    sigma = _radial_tail_integral(spec, 0.0, 1.0, power=2)
-    pi_mass = _radial_tail_integral(spec, 1.0, math.inf, power=0)
-    return float(sigma), float(pi_mass)
-
-
 def annulus_mass(spec: LevyMeasureSpec, lower: float, upper: float) -> float:
     """Measure of the annulus lower < |z| <= upper (upper may be inf)."""
     if lower >= upper:
@@ -387,6 +364,41 @@ def truncate_and_atomize(
     assert spec.alpha is not None
     dens = spec.effective_multiplier * lengths[keep] ** (-grid.dims - spec.alpha)
     return replace(empty, offsets=offsets, weights=dens * grid.cell_volume)
+
+
+def compensated_atoms(
+    spec: LevyMeasureSpec, grid: Grid, r: float, tail_cutoff: float
+) -> AtomMeasure:
+    """The truncated atoms plus a near-field second difference, as one atom set.
+
+    The jumps of length at most r become atoms at +-e_a of weight
+    c_a = int_{|z| <= r} z_a^2 dmu / (2 h^2), added only where c_a > 0. Their
+    shift sum is c_a (f(x + h e_a) - 2 f(x) + f(x - h e_a)), whose symbol
+    -2 c_a (1 - cos(xi_a h)) matches -xi_a^2 int z_a^2 dmu / 2 to fourth order
+    in h. Every kept atom has |j h| > r >= h, so the unit offsets are free.
+    The fractional kind is radial, so its second moment splits evenly over the
+    axes; an atomic measure sums w z_a^2 over its atoms with |z| <= r. The
+    off-diagonal moments int z_a z_b dmu have no representation: they vanish
+    for the fractional kind and are dropped for an atomic one.
+    """
+    atoms = truncate_and_atomize(spec, grid, r, tail_cutoff)
+    if spec.kind == "atomic":
+        assert spec.atoms is not None
+        moment = np.zeros(grid.dims)
+        for z, w in spec.atoms:
+            # the length test of truncate_and_atomize, so no atom counts twice
+            if math.sqrt(sum(c * c for c in z)) <= r:
+                moment += w * np.square(z)
+    else:
+        moment = np.full(grid.dims, second_moment_within(spec, r) / spec.dims)
+    coeff = moment / (2.0 * grid.spacing**2)
+    axes = np.flatnonzero(coeff > 0)
+    units = np.eye(grid.dims, dtype=np.int64)[axes]
+    return replace(
+        atoms,
+        offsets=np.concatenate([atoms.offsets, units, -units]),
+        weights=np.concatenate([atoms.weights, coeff[axes], coeff[axes]]),
+    )
 
 
 @dataclass(frozen=True)

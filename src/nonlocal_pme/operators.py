@@ -5,15 +5,13 @@ The truncated operator sums weighted differences over the kept atoms:
 and translation invariant on the grid, so it is the Fourier multiplier
 sum_k w_k (cos(xi . z_k) - 1). The scheme applies it through the real FFT
 (``_apply_atoms``) with the measure's cached symbol, whose DC term is exactly
-0, so constants map to zero up to rounding. ``apply_truncated`` and
-``apply_compensated`` sum the shifts atom by atom (``_shift_sum``): that
-stencil annihilates constants exactly and is the oracle for the spectral
-route. A compensated variant adds a per-axis second central difference
-representing the mass of jumps shorter than the truncation radius, with the
-coefficient fixed so the discrete Fourier symbol matches
--xi_a^2 * (second moment per axis) / 2 in the small-h limit. A spectral
-multiplier provides the exact evolution e^{-t |xi|^alpha} for the linear flux
-on the same grid, which the solver tests use as a reference solution.
+0, so constants map to zero up to rounding. ``apply_truncated`` sums the
+shifts atom by atom (``_shift_sum``): that stencil annihilates constants
+exactly and is the oracle for the spectral route. Every operator here is an
+atom set, the compensated one included (``measures.compensated_atoms``). A
+spectral multiplier provides the exact evolution e^{-t |xi|^alpha} for the
+linear flux on the same grid, which the solver tests use as a reference
+solution.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, GridFunction, translated
-from .measures import AtomMeasure, LevyMeasureSpec, second_moment_within, truncate_and_atomize
+from .measures import AtomMeasure
 
 
 def _apply_atoms(atoms: AtomMeasure, values: np.ndarray) -> np.ndarray:
@@ -57,60 +55,6 @@ def apply_truncated(atoms: AtomMeasure, f: GridFunction) -> GridFunction:
     if f.grid != atoms.grid:
         raise ValueError("operator and function grids differ")
     return GridFunction(f.grid, _shift_sum(atoms, f.values))
-
-
-@dataclass(frozen=True)
-class CompensatedOperator:
-    """Truncated atoms plus a consistent near-field second difference.
-
-    ``near_field_coefficient[a]`` multiplies the second central difference
-    along axis a and equals int_{|z| <= r} z_a^2 dmu / (2 h^2): the symbol of
-    c (e^{i xi h} - 2 + e^{-i xi h}) = -2c(1 - cos(xi h)) then matches
-    -xi_a^2 int z_a^2 dmu / 2 to fourth order in h. A zero coefficient reduces
-    the operator to the truncated one.
-    """
-
-    atoms: AtomMeasure
-    near_field_coefficient: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeff = np.asarray(self.near_field_coefficient, dtype=np.float64).reshape(-1)
-        if coeff.shape != (self.atoms.grid.dims,):
-            raise ValueError("need one near-field coefficient per axis")
-        if np.any(coeff < 0):
-            raise ValueError("near-field coefficients must be nonnegative")
-        coeff = coeff.copy()
-        coeff.flags.writeable = False
-        object.__setattr__(self, "near_field_coefficient", coeff)
-
-    @property
-    def grid(self) -> Grid:
-        return self.atoms.grid
-
-    @classmethod
-    def from_spec(
-        cls, spec: LevyMeasureSpec, grid: Grid, r: float, tail_cutoff: float
-    ) -> "CompensatedOperator":
-        atoms = truncate_and_atomize(spec, grid, r, tail_cutoff)
-        second_moment = second_moment_within(spec, r)
-        per_axis = second_moment / spec.dims  # radial symmetry splits evenly
-        coeff = np.full(grid.dims, per_axis / (2.0 * grid.spacing**2))
-        return cls(atoms, coeff)
-
-
-def apply_compensated(op: CompensatedOperator, f: GridFunction) -> GridFunction:
-    """Truncated part plus sum_a c_a (f(x+h e_a) - 2 f(x) + f(x-h e_a))."""
-    if f.grid != op.grid:
-        raise ValueError("operator and function grids differ")
-    grid = f.grid
-    out = _shift_sum(op.atoms, f.values)
-    for axis, unit in enumerate(np.eye(grid.dims, dtype=np.int64)):
-        c = op.near_field_coefficient[axis]
-        if c == 0.0:
-            continue
-        forward = translated(f.values, grid, unit)
-        out += c * (forward - 2.0 * f.values + translated(f.values, grid, -unit))
-    return GridFunction(grid, out)
 
 
 def grid_frequencies(grid: Grid) -> list[np.ndarray]:
@@ -154,9 +98,7 @@ class OperatorReport:
     seed: int
 
 
-def operator_report(
-    op: AtomMeasure | CompensatedOperator, samples: int, seed: int = 0
-) -> OperatorReport:
+def operator_report(op: AtomMeasure, samples: int, seed: int = 0) -> OperatorReport:
     """Measure symmetry |<g,Lf> - <f,Lg>|, mass |sum Lf h^N|, and positivity
     max(0, <f,Lf>) over seeded random sample pairs.
 
@@ -168,7 +110,6 @@ def operator_report(
         raise ValueError("need at least one sample")
     grid = op.grid
     cell = grid.cell_volume
-    apply = apply_compensated if isinstance(op, CompensatedOperator) else apply_truncated
     rng = np.random.default_rng(seed)
     sym = row = dissip = 0.0
     scale = 0.0
@@ -177,8 +118,8 @@ def operator_report(
         gv = rng.standard_normal(grid.npoints)
         f = GridFunction(grid, fv)
         g = GridFunction(grid, gv)
-        lf = apply(op, f).values
-        lg = apply(op, g).values
+        lf = apply_truncated(op, f).values
+        lg = apply_truncated(op, g).values
         g_lf = float(np.dot(gv, lf)) * cell
         f_lg = float(np.dot(fv, lg)) * cell
         f_lf = float(np.dot(fv, lf)) * cell

@@ -613,17 +613,22 @@ def write_diagnostics_csv(report: DiagnosticsReport, destination: str | Path) ->
 
 def _config_echo(config: SolverConfig, dt_effective: float) -> dict:
     spec = config.nonlinearity
+    measure = config.measure
+    if measure.kind == "fractional":
+        measure_echo = {
+            "kind": measure.kind,
+            "alpha": measure.alpha,
+            "multiplier": measure.effective_multiplier,
+        }
+    else:
+        measure_echo = {"kind": measure.kind, "atoms": measure.atoms}
     return {
         "grid": {
             "dims": config.grid.dims,
             "points_per_axis": config.grid.points_per_axis,
             "halfwidth": config.grid.halfwidth,
         },
-        "measure": {
-            "kind": config.measure.kind,
-            "alpha": config.measure.alpha,
-            "multiplier": config.measure.effective_multiplier,
-        },
+        "measure": measure_echo,
         "truncation_radius": config.truncation_radius,
         "tail_cutoff": config.tail,
         "mollification_index": config.mollification_index,

@@ -98,6 +98,13 @@ def test_loading_a_config_does_not_import_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_package_exports_are_sorted_unique_and_resolve():
+    names = nonlocal_pme.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(nonlocal_pme, name)] == []
+
+
 def test_running_the_package_as_a_module_is_warning_free():
     package_root = str(Path(nonlocal_pme.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
@@ -122,6 +129,22 @@ def test_simulate_writes_requested_formats(tmp_path):
     assert (out / "summary.json").exists()
     assert (out / "frames.bin").exists()
     payload = json.loads((out / "summary.json").read_text())
+    assert payload["violation_flags"] == []
+
+
+def test_simulate_runs_an_atomic_measure(tmp_path):
+    config = json.loads(DEMO_CONFIG.read_text())
+    config["measure"] = {
+        "kind": "atomic",
+        "atoms": [[[1.0], 0.5], [[-1.0], 0.5], [[2.0], 0.25], [[-2.0], 0.25]],
+    }
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+    payload = json.loads((out / "summary.json").read_text())
+    # the spec stores its atoms sorted by location
+    atoms = sorted(config["measure"]["atoms"])
+    assert payload["config"]["measure"] == {"kind": "atomic", "atoms": atoms}
     assert payload["violation_flags"] == []
 
 

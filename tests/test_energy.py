@@ -26,7 +26,6 @@ from nonlocal_pme import (
     shrink_clamp,
     sobolev_seminorm_direct,
     sobolev_seminorm_fourier,
-    spatial_cutoff,
     standard_bump,
     time_tail,
     truncate_and_atomize,
@@ -244,15 +243,6 @@ def test_shrink_clamp_is_a_normal_contraction(x, y, delta):
     assert abs(tx - ty) <= abs(x - y) + 1e-12 * (abs(x) + abs(y))
     if abs(x) <= delta:
         assert tx == 0.0
-
-
-def test_spatial_cutoff_levels():
-    grid = Grid(dims=1, points_per_axis=256, halfwidth=8.0)
-    cut = spatial_cutoff(grid, 2.0)
-    x = grid.axis_coordinates()
-    assert np.all(cut.values[np.abs(x) <= 2.0] == 1.0)
-    assert np.all(cut.values[np.abs(x) >= 4.0] == 0.0)
-    assert np.all((0.0 <= cut.values) & (cut.values <= 1.0))
 
 
 def test_path_function_validation():

@@ -20,7 +20,6 @@ from nonlocal_pme import (
     LevyMeasureSpec,
     annulus_mass,
     comparability_bounds,
-    moments,
     normalization_multiplier,
     second_moment_within,
     shift_bound_ratio,
@@ -72,15 +71,6 @@ def test_second_moment_against_quadrature():
         lambda z: 2.0 * c * z**2 * z ** (-2.2), 0.0, 0.75, epsabs=1e-13, epsrel=1e-13
     )
     assert second_moment_within(spec, 0.75) == pytest.approx(want, rel=1e-12)
-
-
-def test_moments_of_atomic_measure():
-    spec = LevyMeasureSpec.atomic(
-        [((0.5,), 2.0), ((-0.5,), 2.0), ((3.0,), 0.25), ((-3.0,), 0.25)], dims=1
-    )
-    sigma, tail = moments(spec)
-    assert sigma == pytest.approx(2 * 2.0 * 0.25)
-    assert tail == 0.5
 
 
 def test_atomic_measures_must_be_even():

@@ -1,5 +1,7 @@
 """Truncated and compensated jump operators plus the spectral reference."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,20 +9,23 @@ from hypothesis import strategies as st
 
 from nonlocal_pme import (
     AtomMeasure,
-    CompensatedOperator,
     Grid,
     GridFunction,
     LevyMeasureSpec,
-    apply_compensated,
     apply_truncated,
+    compensated_atoms,
     fourier_fractional,
     grid_frequencies,
+    load_experiment,
     mass,
     operator_report,
     second_moment_within,
     truncate_and_atomize,
 )
 from nonlocal_pme.operators import _apply_atoms, _shift_sum
+from nonlocal_pme.solver import _run
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "experiment.json"
 
 
 def two_cell_operator():
@@ -74,34 +79,97 @@ def test_cosine_modes_are_eigenvectors():
 def test_compensated_near_field_coefficient():
     grid = Grid(dims=1, points_per_axis=128, halfwidth=8.0)
     spec = LevyMeasureSpec.fractional(1.2, dims=1)
-    op = CompensatedOperator.from_spec(spec, grid, 0.25, 4.0)
+    atoms = compensated_atoms(spec, grid, 0.25, 4.0)
     want = second_moment_within(spec, 0.25) / (2.0 * grid.spacing**2)
-    assert op.near_field_coefficient[0] == pytest.approx(want, rel=1e-13)
+    assert atoms.weights[atoms.offsets[:, 0] == 1] == pytest.approx([want], rel=1e-13)
+    assert atoms.weights[atoms.offsets[:, 0] == -1] == pytest.approx([want], rel=1e-13)
+
+
+def test_compensated_weights_follow_the_axes_of_an_atomic_measure():
+    # all of this measure's jumps lie along axis 0, so the near field must not
+    # diffuse along axis 1: sum w z_0^2 / (2 h^2) = 2 * 1 * h^2 / (2 h^2) = 1
+    grid = Grid(dims=2, points_per_axis=16, halfwidth=4.0)
+    h = grid.spacing
+    spec = LevyMeasureSpec.atomic(
+        [((h, 0.0), 1.0), ((-h, 0.0), 1.0), ((3 * h, 0.0), 0.5), ((-3 * h, 0.0), 0.5)], dims=2
+    )
+    atoms = compensated_atoms(spec, grid, 1.5 * h, 4.0)
+    np.testing.assert_array_equal(atoms.offsets, [[-3, 0], [-1, 0], [1, 0], [3, 0]])
+    np.testing.assert_allclose(atoms.weights, [0.5, 1.0, 1.0, 0.5], rtol=1e-13)
+    # the annulus is open at r, so atoms at |z| = r belong to the near field
+    on_edge = compensated_atoms(spec, grid, h, 4.0)
+    np.testing.assert_array_equal(on_edge.offsets, atoms.offsets)
+    np.testing.assert_array_equal(on_edge.weights, atoms.weights)
 
 
 def test_compensated_adds_second_difference_to_the_symbol():
     grid = Grid(dims=1, points_per_axis=128, halfwidth=8.0)
     spec = LevyMeasureSpec.fractional(1.2, dims=1)
-    op = CompensatedOperator.from_spec(spec, grid, 0.25, 4.0)
+    atoms = compensated_atoms(spec, grid, 0.25, 4.0)
+    truncated = truncate_and_atomize(spec, grid, 0.25, 4.0)
     xi = 2.0 * np.pi * 3 / 16.0
     f = GridFunction(grid, np.cos(xi * grid.axis_coordinates()))
-    lf = apply_compensated(op, f)
-    atoms = op.atoms
-    symbol = float(np.sum(atoms.weights * (1.0 - np.cos(xi * atoms.offsets[:, 0] * grid.spacing))))
-    symbol += 2.0 * op.near_field_coefficient[0] * (1.0 - np.cos(xi * grid.spacing))
+    lf = apply_truncated(atoms, f)
+    offsets = truncated.offsets[:, 0] * grid.spacing
+    symbol = float(np.sum(truncated.weights * (1.0 - np.cos(xi * offsets))))
+    c = second_moment_within(spec, 0.25) / (2.0 * grid.spacing**2)
+    symbol += 2.0 * c * (1.0 - np.cos(xi * grid.spacing))
     np.testing.assert_allclose(lf.values, -symbol * f.values, atol=1e-11 * symbol)
 
 
 def test_zero_near_field_reduces_to_truncated():
+    # no atom within r: the compensated set is the truncated set
     grid = Grid(dims=1, points_per_axis=64, halfwidth=8.0)
-    spec = LevyMeasureSpec.fractional(1.0, dims=1)
-    atoms = truncate_and_atomize(spec, grid, 0.25, 4.0)
-    op = CompensatedOperator(atoms, np.zeros(1))
-    rng = np.random.default_rng(0)
-    f = GridFunction(grid, rng.standard_normal(64))
-    np.testing.assert_array_equal(
-        apply_compensated(op, f).values, apply_truncated(atoms, f).values
+    spec = LevyMeasureSpec.atomic(
+        [((1.0,), 0.5), ((-1.0,), 0.5), ((2.0,), 0.25), ((-2.0,), 0.25)], dims=1
     )
+    atoms = compensated_atoms(spec, grid, 0.25, 4.0)
+    truncated = truncate_and_atomize(spec, grid, 0.25, 4.0)
+    np.testing.assert_array_equal(atoms.offsets, truncated.offsets)
+    np.testing.assert_array_equal(atoms.weights, truncated.weights)
+
+
+def old_compensated_formula(spec, grid, r, tail_cutoff, values):
+    # the truncated shift sum plus c (f(x + h e_a) - 2 f(x) + f(x - h e_a)) on
+    # each axis, with c = second_moment_within / (N 2 h^2), written with np.roll
+    truncated = truncate_and_atomize(spec, grid, r, tail_cutoff)
+    c = second_moment_within(spec, r) / grid.dims / (2.0 * grid.spacing**2)
+    f = values.reshape(grid.shape)
+    out = _shift_sum(truncated, values).reshape(grid.shape)
+    for axis in range(grid.dims):
+        out = out + c * (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis))
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize(
+    ("dims", "points", "alpha", "r"),
+    [(1, 128, 1.2, 0.25), (1, 1024, 1.5, 0.25), (2, 64, 1.0, 0.25), (2, 96, 1.5, 0.25)],
+)
+def test_compensated_set_matches_the_second_difference_formula(dims, points, alpha, r):
+    grid = Grid(dims=dims, points_per_axis=points, halfwidth=8.0)
+    spec = LevyMeasureSpec.fractional(alpha, dims=dims)
+    atoms = compensated_atoms(spec, grid, r, 4.0)
+    values = np.random.default_rng(points).standard_normal(grid.npoints)
+    want = old_compensated_formula(spec, grid, r, 4.0, values)
+    tol = 1e-13 * float(np.max(np.abs(want)))
+    np.testing.assert_allclose(_shift_sum(atoms, values), want, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(_apply_atoms(atoms, values), want, rtol=0.0, atol=tol)
+
+
+def test_compensated_set_steps_the_demo_run_cleanly():
+    config = load_experiment(str(DEMO_CONFIG)).solver_config()
+    annulus = (config.measure, config.grid, config.truncation_radius, config.tail)
+    atoms = compensated_atoms(*annulus)
+    assert atoms.natoms == truncate_and_atomize(*annulus).natoms + 2
+    rep = operator_report(atoms, samples=5, seed=1)
+    tol = 1e-12 * rep.scale
+    assert max(rep.symmetry_defect, rep.row_sum_defect, rep.dissipativity_defect) <= tol
+    traj, report = _run(config, atoms)
+    # the near-field atoms carry most of the jump mass, so the step bound
+    # takes 324 steps where the truncated set takes 18
+    assert traj.path.times.shape[0] - 1 == 324
+    assert report.violation_flags == ()
+    assert report.budget.enclosure_ok
 
 
 @settings(max_examples=120, deadline=None)
