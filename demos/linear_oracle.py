@@ -31,7 +31,6 @@ for points, tail in ((512, 4.0), (1024, 8.0), (2048, 16.0)):
     config = SolverConfig(
         measure=LevyMeasureSpec.fractional(alpha=ALPHA, dims=1),
         truncation_radius=grid.spacing,
-        mollification_index=0,
         nonlinearity=NonlinearitySpec.linear(),
         grid=grid,
         duration=DURATION,

@@ -29,7 +29,6 @@ def build_config(points: int, exponent: float, theta: float) -> SolverConfig:
     return SolverConfig(
         measure=LevyMeasureSpec.fractional(alpha=1.0, dims=1),
         truncation_radius=0.25,
-        mollification_index=2,
         nonlinearity=NonlinearitySpec.pme(exponent, mollification_index=2),
         grid=grid,
         duration=0.5,

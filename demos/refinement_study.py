@@ -25,7 +25,6 @@ x = grid.coordinates()[:, 0]
 base = SolverConfig(
     measure=LevyMeasureSpec.fractional(alpha=1.0, dims=1),
     truncation_radius=1.0,
-    mollification_index=1,
     nonlinearity=NonlinearitySpec.pme(2.0, mollification_index=1),
     grid=grid,
     duration=0.25,

@@ -33,11 +33,12 @@ from .energy import (
     sobolev_seminorm_fourier,
 )
 from .grid import Grid, GridFunction
-from .measures import AtomMeasure, LevyMeasureSpec, truncate_and_atomize
+from .measures import AtomMeasure, LevyMeasureSpec
 from .nonlinearity import NonlinearitySpec, PowerEntropy, lp_companion, stroock_varopoulos_gap
 from .operators import _shift_sum, fourier_fractional, operator_report
 from .solver import (
     SolverConfig,
+    _atomize,
     convergence_study,
     oleinik_report,
     read_frames_binary,
@@ -135,7 +136,7 @@ def _parse_measure(raw: dict, dims: int) -> LevyMeasureSpec:
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
-def _parse_nonlinearity(raw: dict) -> tuple[NonlinearitySpec, int]:
+def _parse_nonlinearity(raw: dict) -> NonlinearitySpec:
     body = _section(
         raw, "nonlinearity", {"kind", "m", "a", "knots", "values", "n"}, {"kind"}
     )
@@ -150,20 +151,20 @@ def _parse_nonlinearity(raw: dict) -> tuple[NonlinearitySpec, int]:
     if kind == "pme":
         if "m" not in body:
             raise ConfigError("pme nonlinearity needs nonlinearity.m")
-        return NonlinearitySpec.pme(_positive(body["m"], "nonlinearity.m")), index
+        return NonlinearitySpec.pme(_positive(body["m"], "nonlinearity.m"), index)
     if kind == "stefan":
         if "a" not in body:
             raise ConfigError("stefan nonlinearity needs nonlinearity.a")
-        return NonlinearitySpec.stefan(_positive(body["a"], "nonlinearity.a")), index
+        return NonlinearitySpec.stefan(_positive(body["a"], "nonlinearity.a"), index)
     if kind == "linear":
-        return NonlinearitySpec.linear(), index
+        return NonlinearitySpec.linear(index)
     knots = body.get("knots")
     values = body.get("values")
     if not isinstance(knots, list) or not isinstance(values, list):
         raise ConfigError("table nonlinearity needs knots and values lists")
     knots = [_number(v, "nonlinearity.knots entry") for v in knots]
     values = [_number(v, "nonlinearity.values entry") for v in values]
-    return NonlinearitySpec.table(knots, values), index
+    return NonlinearitySpec.table(knots, values, index)
 
 
 def _initial_values(grid: Grid, kind: str, params: dict) -> np.ndarray:
@@ -242,36 +243,14 @@ def _parse_initial(raw: dict, grid: Grid, config_dir: Path) -> GridFunction:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description, ready to build a SolverConfig."""
+    """Validated experiment description: the run's SolverConfig plus what
+    the command line does with it."""
 
-    grid: Grid
-    measure: LevyMeasureSpec
-    truncation_radius: float
-    tail_cutoff: float | None
-    nonlinearity: NonlinearitySpec
-    mollification_index: int
-    duration: float
-    dt: float | None
-    theta: float
-    initial: GridFunction
+    solver: SolverConfig
     checks: tuple[str, ...]
     output_dir: Path
     formats: tuple[str, ...]
     refinement: tuple[tuple[float, ...], tuple[int, ...]] | None
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            measure=self.measure,
-            truncation_radius=self.truncation_radius,
-            mollification_index=self.mollification_index,
-            nonlinearity=self.nonlinearity,
-            grid=self.grid,
-            duration=self.duration,
-            initial=self.initial,
-            dt=self.dt,
-            cfl_theta=self.theta,
-            tail_cutoff=self.tail_cutoff,
-        )
 
 
 def load_experiment(path: str | Path) -> ExperimentConfig:
@@ -304,7 +283,7 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
         if tail <= radius:
             raise ConfigError("truncation.tail_cutoff must exceed truncation.r")
 
-    nonlinearity, index = _parse_nonlinearity(raw)
+    nonlinearity = _parse_nonlinearity(raw)
 
     time_body = _section(raw, "time", {"T", "dt", "theta"}, {"T"})
     duration = _positive(time_body["T"], "time.T")
@@ -344,26 +323,25 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
         indices = tuple(_nonneg_int(v, "refinement.n entry") for v in ref_body["n"])
         refinement = (radii, indices)
 
-    config = ExperimentConfig(
-        grid=grid,
-        measure=measure,
-        truncation_radius=radius,
-        tail_cutoff=tail,
-        nonlinearity=nonlinearity,
-        mollification_index=index,
-        duration=duration,
-        dt=dt,
-        theta=theta,
-        initial=initial,
+    # Building the SolverConfig checks the solver-level assumptions, so a
+    # bad combination fails at load time with a named message, not mid-run.
+    return ExperimentConfig(
+        solver=SolverConfig(
+            measure=measure,
+            truncation_radius=radius,
+            nonlinearity=nonlinearity,
+            grid=grid,
+            duration=duration,
+            initial=initial,
+            dt=dt,
+            cfl_theta=theta,
+            tail_cutoff=tail,
+        ),
         checks=tuple(checks_body),
         output_dir=out_dir,
         formats=tuple(formats),
         refinement=refinement,
     )
-    # Re-check the solver-level assumptions now so a bad combination fails
-    # at load time with a named message instead of mid-run.
-    config.solver_config()
-    return config
 
 
 def _resolve_outdir(exp: ExperimentConfig, override: str | None) -> Path:
@@ -379,7 +357,7 @@ def _say(quiet: bool, message: str) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     exp = load_experiment(args.config)
-    traj, report = run(exp.solver_config())
+    traj, report = run(exp.solver)
     out = _resolve_outdir(exp, args.out)
     if "csv" in exp.formats:
         target = out / "diagnostics.csv"
@@ -406,7 +384,7 @@ def _random_path(grid: Grid, rng: np.random.Generator, nframes: int) -> PathFunc
     return PathFunction.from_frames(grid, frames, duration=1.0)
 
 
-def _suite_operator(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple[bool, dict]:
+def _suite_operator(config: SolverConfig, seed: int, atoms: AtomMeasure) -> tuple[bool, dict]:
     rep = operator_report(atoms, samples=20, seed=seed)
     tol = 1e-12 * rep.scale
     failures = []
@@ -429,14 +407,14 @@ def _suite_operator(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tup
     }
 
 
-def _suite_energy(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple[bool, dict]:
+def _suite_energy(config: SolverConfig, seed: int, atoms: AtomMeasure) -> tuple[bool, dict]:
     rng = np.random.default_rng(seed)
-    cell = exp.grid.cell_volume
+    cell = config.grid.cell_volume
     worst_pairing = worst_symmetry = 0.0
     scale = 1e-300
     for _ in range(8):
-        f = GridFunction(exp.grid, rng.standard_normal(exp.grid.npoints))
-        g = GridFunction(exp.grid, rng.standard_normal(exp.grid.npoints))
+        f = GridFunction(config.grid, rng.standard_normal(config.grid.npoints))
+        g = GridFunction(config.grid, rng.standard_normal(config.grid.npoints))
         # Lf by the shift stencil, B by the spectral form: two independent routes.
         lf = _shift_sum(atoms, f.values)
         pairing = cell * float(np.dot(g.values, lf))
@@ -444,10 +422,10 @@ def _suite_energy(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple
         worst_pairing = max(worst_pairing, abs(pairing + efg))
         worst_symmetry = max(worst_symmetry, abs(efg - bilinear(atoms, g, f)))
         scale = max(scale, abs(pairing), abs(efg))
-    path = _random_path(exp.grid, rng, nframes=4)
+    path = _random_path(config.grid, rng, nframes=4)
     quad = parabolic_bilinear(atoms, path, path)
     flat = PathFunction.from_frames(
-        exp.grid, np.repeat(path.frames[:1], 4, axis=0), duration=path.duration
+        config.grid, np.repeat(path.frames[:1], 4, axis=0), duration=path.duration
     )
     single = bilinear(atoms, path.frame(0), path.frame(0))
     worst_parabolic = abs(parabolic_bilinear(atoms, flat, flat) - flat.duration * single)
@@ -474,8 +452,13 @@ def _suite_energy(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple
     }
 
 
-def _suite_stroock_varopoulos(exp: ExperimentConfig, seed: int, atoms: AtomMeasure) -> tuple[bool, dict]:
-    spec = replace(exp.nonlinearity, mollification_index=max(exp.mollification_index, 1))
+def _smoothed(spec: NonlinearitySpec) -> NonlinearitySpec:
+    """spec at smoothing index max(n, 1): the companion map needs n >= 1."""
+    return replace(spec, mollification_index=max(spec.mollification_index, 1))
+
+
+def _suite_stroock_varopoulos(config: SolverConfig, seed: int, atoms: AtomMeasure) -> tuple[bool, dict]:
+    spec = _smoothed(config.nonlinearity)
     rng = np.random.default_rng(seed)
     gaps = {}
     failures = []
@@ -484,7 +467,7 @@ def _suite_stroock_varopoulos(exp: ExperimentConfig, seed: int, atoms: AtomMeasu
         entropy_slope = PowerEntropy(order).slope_map()
         worst = np.inf
         for _ in range(6):
-            psi = _random_path(exp.grid, rng, nframes=4)
+            psi = _random_path(config.grid, rng, nframes=4)
             gap = stroock_varopoulos_gap(entropy_slope, spec, companion, psi, atoms)
             worst = min(worst, gap)
         gaps[f"p={order:g}"] = worst
@@ -493,13 +476,10 @@ def _suite_stroock_varopoulos(exp: ExperimentConfig, seed: int, atoms: AtomMeasu
     return not failures, {"min_gaps": gaps, "paths_per_order": 6, "failures": failures}
 
 
-def _suite_oleinik(exp: ExperimentConfig, seed: int, atoms: AtomMeasure | None) -> tuple[bool, dict]:
-    spec = replace(exp.nonlinearity, mollification_index=max(exp.mollification_index, 1))
-    base = replace(
-        exp.solver_config(), mollification_index=spec.mollification_index, dt=None
-    )
+def _suite_oleinik(config: SolverConfig, seed: int, atoms: AtomMeasure | None) -> tuple[bool, dict]:
+    spec = _smoothed(config.nonlinearity)
     del atoms  # the run below brings the atoms it stepped with
-    traj, _ = run(base)
+    traj, _ = run(replace(config, nonlinearity=spec, dt=None))
     same = oleinik_report(traj, traj, spec, traj.atoms)
     failures = []
     zero_scale = 1e-12 * max(abs(same.monotone_integral), abs(same.quadratic_form), 1.0)
@@ -513,8 +493,8 @@ def _suite_oleinik(exp: ExperimentConfig, seed: int, atoms: AtomMeasure | None) 
     rng = np.random.default_rng(seed)
     min_quadratic = np.inf
     for _ in range(8):
-        first = _random_path(exp.grid, rng, nframes=5)
-        second = _random_path(exp.grid, rng, nframes=5)
+        first = _random_path(config.grid, rng, nframes=5)
+        second = _random_path(config.grid, rng, nframes=5)
         rep = oleinik_report(first, second, spec, traj.atoms)
         min_quadratic = min(min_quadratic, rep.quadratic_form)
     if min_quadratic < 0.0:
@@ -531,19 +511,19 @@ def _suite_oleinik(exp: ExperimentConfig, seed: int, atoms: AtomMeasure | None) 
     }
 
 
-def _suite_density(exp: ExperimentConfig, seed: int, atoms: AtomMeasure | None) -> tuple[bool, dict]:
+def _suite_density(config: SolverConfig, seed: int, atoms: AtomMeasure | None) -> tuple[bool, dict]:
     del seed, atoms  # deterministic construction, no operator
-    profile = exp.initial.values
+    profile = config.initial.values
     peak = float(np.max(np.abs(profile)))
     if peak == 0.0:
         raise ConfigError("density suite needs a nonzero initial profile")
-    duration = exp.duration
+    duration = config.duration
 
     def pulse(coords: np.ndarray, t: float) -> np.ndarray:
         del coords
         return profile * float(standard_bump(2.0 * t / duration - 1.0)) * np.e
 
-    path = PathFunction.sampled(exp.grid, duration, nsteps=40, func=pulse)
+    path = PathFunction.sampled(config.grid, duration, nsteps=40, func=pulse)
     deltas = [duration / 5.0, duration / 10.0, duration / 20.0]
     errors = []
     for delta in deltas:
@@ -561,14 +541,14 @@ def _suite_density(exp: ExperimentConfig, seed: int, atoms: AtomMeasure | None) 
     }
 
 
-def _suite_sobolev(exp: ExperimentConfig, seed: int, atoms: AtomMeasure | None) -> tuple[bool, dict]:
+def _suite_sobolev(config: SolverConfig, seed: int, atoms: AtomMeasure | None) -> tuple[bool, dict]:
     del seed, atoms  # deterministic construction, no operator
-    if exp.grid.dims != 1:
+    if config.grid.dims != 1:
         raise ConfigError("sobolev suite needs a one-dimensional grid for the direct route")
-    if exp.measure.kind != "fractional" or exp.measure.alpha is None:
+    if config.measure.kind != "fractional" or config.measure.alpha is None:
         raise ConfigError("sobolev suite needs a fractional measure to fix the order")
-    alpha = exp.measure.alpha
-    f = exp.initial
+    alpha = config.measure.alpha
+    f = config.initial
     if float(np.max(np.abs(f.values))) == 0.0:
         raise ConfigError("sobolev suite needs a nonzero initial profile")
     spectral = sobolev_seminorm_fourier(alpha, f)
@@ -610,13 +590,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         suites = exp.checks
     out = _resolve_outdir(exp, args.out)
-    atoms = None
-    if any(name in _ATOM_SUITES for name in suites):
-        cfg = exp.solver_config()
-        atoms = truncate_and_atomize(cfg.measure, cfg.grid, cfg.truncation_radius, cfg.tail)
+    atoms = _atomize(exp.solver) if any(name in _ATOM_SUITES for name in suites) else None
     all_ok = True
     for name in suites:
-        ok, report = _SUITE_RUNNERS[name](exp, args.seed, atoms)
+        ok, report = _SUITE_RUNNERS[name](exp.solver, args.seed, atoms)
         report = {"suite": name, "seed": args.seed, "ok": ok, **report}
         target = out / f"verify_{name}.json"
         with open(target, "w") as handle:
@@ -637,8 +614,8 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     if exp.refinement is None:
         raise ConfigError("convergence needs a refinement section with r and n lists")
     radii, indices = exp.refinement
-    base = exp.solver_config()
-    report = convergence_study(base, radii, indices)
+    config = exp.solver
+    report = convergence_study(config, radii, indices)
     out = _resolve_outdir(exp, args.out)
 
     rows = []
@@ -658,14 +635,14 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         "decreasing": report.decreasing,
         "seed": args.seed,
     }
-    if exp.nonlinearity.kind == "linear" and exp.measure.kind == "fractional":
+    if config.nonlinearity.kind == "linear" and config.measure.kind == "fractional":
         reference = report.trajectories[-1]
-        exact = fourier_fractional(exp.measure.alpha, exp.duration, exp.initial)
+        exact = fourier_fractional(config.measure.alpha, config.duration, config.initial)
         oracle_gap = float(np.max(np.abs(reference.path.frames[-1] - exact.values)))
         payload["untruncated_spectral_sup_error"] = oracle_gap
         _say(
             args.quiet,
-            f"linear-case spectral comparison: sup error {oracle_gap:.6e} at t={exp.duration:g}",
+            f"linear-case spectral comparison: sup error {oracle_gap:.6e} at t={config.duration:g}",
         )
     target = out / "convergence.json"
     with open(target, "w") as handle:

@@ -38,15 +38,13 @@ _FRAME_BLOCK_POINTS = 16384
 class SolverConfig:
     """Everything a run needs; dt = None means auto from the step-size bound.
 
-    The mollification_index here overrides the one carried by the
-    nonlinearity, so refinement studies can vary it without rebuilding specs.
-    tail_cutoff bounds the jump quadrature; None means half the domain
-    halfwidth, keeping wrap-around interactions modest.
+    The nonlinearity carries the smoothing index n of the flux phi_n the
+    scheme steps. tail_cutoff bounds the jump quadrature; None means half
+    the domain halfwidth, keeping wrap-around interactions modest.
     """
 
     measure: LevyMeasureSpec
     truncation_radius: float
-    mollification_index: int
     nonlinearity: NonlinearitySpec
     grid: Grid
     duration: float
@@ -67,15 +65,8 @@ class SolverConfig:
                 f"truncation radius {self.truncation_radius} is below the grid spacing "
                 f"{self.grid.spacing}; jumps shorter than one cell cannot be resolved"
             )
-        n = self.mollification_index
-        if not (isinstance(n, (int, np.integer)) and n >= 0):
-            raise ValueError(f"mollification_index must be a nonnegative integer, got {n!r}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive when given, got {self.dt!r}")
-
-    @property
-    def effective_nonlinearity(self) -> NonlinearitySpec:
-        return replace(self.nonlinearity, mollification_index=self.mollification_index)
 
     @property
     def tail(self) -> float:
@@ -221,7 +212,7 @@ def _atomize(config: SolverConfig) -> AtomMeasure:
 def _run(config: SolverConfig, atoms: AtomMeasure) -> tuple[Trajectory, DiagnosticsReport]:
     """run with the atoms of config.measure already built."""
     grid = config.grid
-    spec = config.effective_nonlinearity
+    spec = config.nonlinearity
     amplitude = float(np.max(np.abs(config.initial.values)))
     dt, lip = _checked_dt(atoms, spec, amplitude, config.cfl_theta, config.dt,
                           f" (theta = {config.cfl_theta}); pick dt at or below the bound")
@@ -420,7 +411,7 @@ def lp_budget(traj: Trajectory, p: float) -> LpBudgetReport:
     companion_energy = None
     summed_slack = None
     note = ""
-    spec = traj.config.effective_nonlinearity
+    spec = traj.config.nonlinearity
     if p != _INF and p > 1.0:
         if spec.mollification_index >= 1:
             xi = lp_companion(spec, p).value(frames)[:-1]
@@ -483,12 +474,17 @@ def convergence_study(
     grid = base.grid
     amplitude = float(np.max(np.abs(base.initial.values)))
     levels = [
-        replace(base, truncation_radius=float(r), mollification_index=int(n), dt=None)
+        replace(
+            base,
+            truncation_radius=float(r),
+            nonlinearity=replace(base.nonlinearity, mollification_index=int(n)),
+            dt=None,
+        )
         for r, n in zip(r_seq, n_seq)
     ]
     level_atoms = [_atomize(cfg) for cfg in levels]
     dt = min(
-        _checked_dt(atoms, cfg.effective_nonlinearity, amplitude, cfg.cfl_theta, None, "")[0]
+        _checked_dt(atoms, cfg.nonlinearity, amplitude, cfg.cfl_theta, None, "")[0]
         for cfg, atoms in zip(levels, level_atoms)
     )
     nsteps = max(1, math.ceil(base.duration / dt - 1e-9))
@@ -631,7 +627,7 @@ def _config_echo(config: SolverConfig, dt_effective: float) -> dict:
         "measure": measure_echo,
         "truncation_radius": config.truncation_radius,
         "tail_cutoff": config.tail,
-        "mollification_index": config.mollification_index,
+        "mollification_index": spec.mollification_index,
         "nonlinearity": {
             "kind": spec.kind,
             "exponent": spec.exponent,
@@ -678,24 +674,40 @@ def write_frames_binary(traj: Trajectory, destination: str | Path) -> None:
 
 
 def read_frames_binary(source: str | Path) -> tuple[Grid, np.ndarray, np.ndarray]:
-    """Inverse of write_frames_binary: (grid, times, frames)."""
+    """Inverse of write_frames_binary: (grid, times, frames).
+
+    Every record must repeat the first record's grid header and hold the
+    whole frame; a mismatched header or a short record raises ValueError
+    naming the record's index.
+    """
     raw = Path(source).read_bytes()
     offset = 0
     times = []
     frames = []
     grid = None
     while offset < len(raw):
-        dims, points = np.frombuffer(raw, dtype="<i8", count=2, offset=offset)
-        offset += 16
-        halfwidth, t = np.frombuffer(raw, dtype="<f8", count=2, offset=offset)
-        offset += 16
+        record = len(times)
+        if offset + 32 > len(raw):
+            raise ValueError(f"frame record {record} is cut short in its 32-byte header")
+        dims, points = np.frombuffer(raw, dtype="<i8", count=2, offset=offset).tolist()
+        halfwidth, t = np.frombuffer(raw, dtype="<f8", count=2, offset=offset + 16).tolist()
+        offset += 32
         if grid is None:
-            grid = Grid(dims=int(dims), points_per_axis=int(points), halfwidth=float(halfwidth))
-        count = int(points) ** int(dims)
-        values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+            grid = Grid(dims=dims, points_per_axis=points, halfwidth=halfwidth)
+            header = (dims, points, halfwidth)
+        elif (dims, points, halfwidth) != header:
+            raise ValueError(f"frame record {record} has grid header (dims, points, halfwidth) "
+                             f"{(dims, points, halfwidth)}, record 0 has {header}")
+        left = (len(raw) - offset) // 8
+        # With points > 1, points**dims exceeds left once 2**dims does; the
+        # first test keeps a corrupt header from computing a huge power.
+        if (points > 1 and dims >= left.bit_length()) or grid.npoints > left:
+            raise ValueError(f"frame record {record} is cut short: {left} values remain "
+                             f"for a grid of {points}**{dims} points")
+        count = grid.npoints
+        times.append(t)
+        frames.append(np.frombuffer(raw, dtype="<f8", count=count, offset=offset).astype(np.float64))
         offset += 8 * count
-        times.append(float(t))
-        frames.append(values.astype(np.float64))
     if grid is None:
         raise ValueError("empty frame file")
     return grid, np.asarray(times), np.stack(frames)

@@ -51,7 +51,6 @@ def decay_config() -> SolverConfig:
     return SolverConfig(
         measure=LevyMeasureSpec.fractional(alpha=1.0, dims=1),
         truncation_radius=0.25,
-        mollification_index=2,
         nonlinearity=NonlinearitySpec.pme(2.0, mollification_index=2),
         grid=grid,
         duration=0.5,
@@ -218,7 +217,6 @@ def test_linear_diffusion_matches_the_spectral_oracle():
         config = SolverConfig(
             measure=LevyMeasureSpec.fractional(alpha=1.0, dims=1),
             truncation_radius=h,
-            mollification_index=0,
             nonlinearity=NonlinearitySpec.linear(),
             grid=grid,
             duration=0.5,
@@ -261,7 +259,6 @@ def test_l1_contraction_and_comparison():
         config = SolverConfig(
             measure=measure,
             truncation_radius=0.25,
-            mollification_index=2,
             nonlinearity=phi,
             grid=grid,
             duration=0.25,
@@ -352,7 +349,6 @@ def test_truncation_smoothing_refinement_is_cauchy():
     base = SolverConfig(
         measure=LevyMeasureSpec.fractional(alpha=1.0, dims=1),
         truncation_radius=1.0,
-        mollification_index=1,
         nonlinearity=NonlinearitySpec.pme(2.0, mollification_index=1),
         grid=grid,
         duration=0.25,

@@ -38,10 +38,10 @@ def write_config(tmp_path, config, name="exp.json"):
 
 def test_load_experiment_happy_path(tmp_path):
     exp = load_experiment(write_config(tmp_path, base_config()))
-    assert exp.grid.points_per_axis == 64
-    assert exp.mollification_index == 2
-    assert exp.duration == 0.1
-    assert exp.dt is None
+    assert exp.solver.grid.points_per_axis == 64
+    assert exp.solver.nonlinearity.mollification_index == 2
+    assert exp.solver.duration == 0.1
+    assert exp.solver.dt is None
     assert exp.checks == ("operator", "energy")
 
 
@@ -261,9 +261,9 @@ def test_linear_convergence_reports_spectral_comparison(tmp_path):
 def test_initial_box_profile(tmp_path):
     config = base_config(initial={"kind": "box", "params": {"amplitude": 2.0, "radius": 1.0}})
     exp = load_experiment(write_config(tmp_path, config))
-    values = exp.initial.values
+    values = exp.solver.initial.values
     assert set(np.unique(values)) == {0.0, 2.0}
-    coords = exp.grid.coordinates()[:, 0]
+    coords = exp.solver.grid.coordinates()[:, 0]
     np.testing.assert_array_equal(values > 0, np.abs(coords) <= 1.0)
 
 
@@ -271,7 +271,7 @@ def test_initial_two_bumps_profile(tmp_path):
     params = {"amplitude": 1.0, "width": 1.0, "separation": 4.0}
     config = base_config(initial={"kind": "two_bumps", "params": params})
     exp = load_experiment(write_config(tmp_path, config))
-    values = exp.initial.values
+    values = exp.solver.initial.values
     # peak sits between nodes, so the sampled max lands just under the amplitude
     assert 0.9 < np.max(values) <= 1.0 + 1e-12
     assert np.min(values) >= 0.0
@@ -283,7 +283,7 @@ def test_initial_from_npy_file(tmp_path):
     np.save(tmp_path / "start.npy", values)
     config = base_config(initial={"kind": "file", "params": {"path": "start.npy"}})
     exp = load_experiment(write_config(tmp_path, config))
-    np.testing.assert_array_equal(exp.initial.values, values)
+    np.testing.assert_array_equal(exp.solver.initial.values, values)
 
 
 def test_initial_from_frames_file_takes_the_last_frame(tmp_path):
@@ -297,4 +297,39 @@ def test_initial_from_frames_file_takes_the_last_frame(tmp_path):
         initial={"kind": "file", "params": {"path": str(out / "frames.bin")}}
     )
     exp = load_experiment(write_config(tmp_path, restart, name="restart.json"))
-    np.testing.assert_array_equal(exp.initial.values, frames[-1])
+    np.testing.assert_array_equal(exp.solver.initial.values, frames[-1])
+
+
+@pytest.mark.parametrize("broken", ["other-grid", "short-record"])
+def test_initial_frames_file_with_a_broken_record_is_a_usage_error(tmp_path, capsys, broken):
+    def record(dims, points, t, values):
+        return (np.array([dims, points], dtype="<i8").tobytes()
+                + np.array([8.0, t], dtype="<f8").tobytes() + values.astype("<f8").tobytes())
+
+    first = record(1, 64, 0.0, np.zeros(64))
+    # The 8x8 record holds 64 values too: before the header check its data
+    # started the 64-point run as the file's last frame.
+    second = record(2, 8, 0.1, np.ones(64)) if broken == "other-grid" else first[:-8]
+    (tmp_path / "frames.bin").write_bytes(first + second)
+    config = base_config(initial={"kind": "file", "params": {"path": "frames.bin"}})
+    path = write_config(tmp_path, config)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: frame record 1 ")
+
+
+def test_verify_runs_the_companion_suites_at_smoothing_index_at_least_one(tmp_path):
+    suites = ("stroock-varopoulos", "oleinik")
+    reports = {}
+    for n in (None, 1, 2):
+        nonlinearity = {"kind": "pme", "m": 2.0, **({} if n is None else {"n": n})}
+        config = base_config(nonlinearity=nonlinearity, checks=list(suites))
+        path = write_config(tmp_path, config, name=f"n{n}.json")
+        out = tmp_path / f"n{n}"
+        assert main(["verify", "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["mollification_index"] == (0 if n is None else n)
+        reports[n] = [(out / f"verify_{name}.json").read_text() for name in suites]
+    # n omitted is the raw flux, n = 0; both suites run it at n = 1.
+    assert reports[None] == reports[1]
+    assert all(one != two for one, two in zip(reports[1], reports[2]))

@@ -157,7 +157,7 @@ def test_compensated_set_matches_the_second_difference_formula(dims, points, alp
 
 
 def test_compensated_set_steps_the_demo_run_cleanly():
-    config = load_experiment(str(DEMO_CONFIG)).solver_config()
+    config = load_experiment(str(DEMO_CONFIG)).solver
     annulus = (config.measure, config.grid, config.truncation_radius, config.tail)
     atoms = compensated_atoms(*annulus)
     assert atoms.natoms == truncate_and_atomize(*annulus).natoms + 2

@@ -1,6 +1,7 @@
 """The explicit monotone scheme and its diagnostic reports."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -47,8 +48,7 @@ def gaussian_config(**overrides):
     settings = dict(
         measure=LevyMeasureSpec.fractional(1.0, dims=1),
         truncation_radius=0.25,
-        mollification_index=2,
-        nonlinearity=NonlinearitySpec.pme(2.0),
+        nonlinearity=NonlinearitySpec.pme(2.0, mollification_index=2),
         grid=grid,
         duration=0.25,
         initial=GridFunction(grid, np.exp(-(x**2))),
@@ -123,7 +123,7 @@ def _recomputed_budget(traj):
     """Independent route to the energy balance: re-atomize, re-step the
     stored frames and redo the arithmetic from scratch."""
     config = traj.config
-    spec = config.effective_nonlinearity
+    spec = config.nonlinearity
     grid = config.grid
     atoms = truncate_and_atomize(config.measure, grid, config.truncation_radius, config.tail)
     lip = lipschitz_bound(spec, float(np.max(np.abs(traj.path.frames[0]))))
@@ -197,7 +197,6 @@ def gaussian_2d_config(**overrides):
     settings = dict(
         measure=LevyMeasureSpec.fractional(1.0, dims=2),
         truncation_radius=0.25,
-        mollification_index=0,
         nonlinearity=NonlinearitySpec.pme(2.0),
         grid=grid,
         duration=0.5,
@@ -212,7 +211,7 @@ def gaussian_2d_config(**overrides):
 @pytest.mark.parametrize("case", ["2d-row-blocks", "1d-one-block", "short-last-block"])
 def test_frame_table_matches_the_whole_stack_formulas(monkeypatch, case):
     if case == "2d-row-blocks":
-        config, rows = gaussian_2d_config(mollification_index=2), 1
+        config, rows = gaussian_2d_config(nonlinearity=NonlinearitySpec.pme(2.0, mollification_index=2)), 1
     elif case == "1d-one-block":
         config, rows = gaussian_config(), None
     else:
@@ -235,7 +234,7 @@ def test_frame_table_matches_the_whole_stack_formulas(monkeypatch, case):
         assert nframes == 17
 
     hN = config.grid.cell_volume
-    spec = config.effective_nonlinearity
+    spec = config.nonlinearity
     phi_integrals = hN * spec.primitive(frames).sum(axis=1)
     table = solver._frame_table(traj.path, spec)
     assert np.array_equal(report.masses, hN * frames.sum(axis=1))
@@ -316,7 +315,7 @@ def _residual_above_bound(budget, table, energy):
 )
 def test_violation_flag_names_the_first_failing_frame(broken, message):
     traj, report = run(gaussian_config())
-    table = solver._frame_table(traj.path, traj.config.effective_nonlinearity)
+    table = solver._frame_table(traj.path, traj.config.nonlinearity)
     energy = np.full(traj.path.nsteps, 1e-3)
     assert solver._diagnose(traj.budget, table, energy).violation_flags == ()
     flags = solver._diagnose(*broken(traj.budget, table, energy)).violation_flags
@@ -332,7 +331,7 @@ def test_companion_energy_matches_the_operator_pairing():
     traj, _ = run(gaussian_config())
     hN = traj.config.grid.cell_volume
     for p in (1.5, 2.0, 4.0):
-        xi = lp_companion(traj.config.effective_nonlinearity, p).value(traj.path.frames)
+        xi = lp_companion(traj.config.nonlinearity, p).value(traj.path.frames)
         energies = [-hN * float(np.dot(x, operators._apply_atoms(traj.atoms, x))) for x in xi[:-1]]
         want = np.concatenate([[0.0], np.cumsum(traj.path.dt * np.array(energies))])
         got = lp_budget(traj, p).companion_energy
@@ -396,6 +395,16 @@ def test_convergence_study_atomizes_each_level_once(monkeypatch):
     assert [t.atoms.truncation_radius for t in study.trajectories] == list(radii)
 
 
+def test_convergence_study_steps_each_level_at_its_smoothing_index():
+    base = gaussian_config(duration=0.05)
+    study = convergence_study(base, (0.5, 0.25, 0.125), (1, 3, 4))
+    for traj, r, n in zip(study.trajectories, study.radii, study.indices):
+        spec = NonlinearitySpec.pme(2.0, mollification_index=n)
+        level, _ = run(replace(base, truncation_radius=r, nonlinearity=spec, dt=study.dt))
+        assert traj.config.nonlinearity == spec
+        assert np.array_equal(traj.path.frames, level.path.frames)
+
+
 def test_energy_budget_pair_atomizes_once(monkeypatch):
     atomized = _count_calls(monkeypatch, "truncate_and_atomize", measures)
     energy_budget_pair(gaussian_config())
@@ -407,7 +416,7 @@ def test_oleinik_identical_pair_vanishes():
     atoms = truncate_and_atomize(
         LevyMeasureSpec.fractional(1.0, dims=1), traj.config.grid, 0.25, 4.0
     )
-    spec = traj.config.effective_nonlinearity
+    spec = traj.config.nonlinearity
     rep = oleinik_report(traj, traj, spec, atoms)
     assert rep.monotone_integral == 0.0
     assert rep.quadratic_form == 0.0
@@ -451,6 +460,49 @@ def test_frames_binary_round_trip(tmp_path):
     assert grid == traj.config.grid
     np.testing.assert_array_equal(times, traj.path.times)
     np.testing.assert_array_equal(frames, traj.path.frames)
+
+
+def _frame_record(header, t, values):
+    dims, points, halfwidth = header
+    return (
+        np.array([dims, points], dtype="<i8").tobytes()
+        + np.array([halfwidth, t], dtype="<f8").tobytes()
+        + np.asarray(values, dtype="<f8").tobytes()
+    )
+
+
+@pytest.mark.parametrize("header", [(2, 8, 8.0), (1, 64, 4.0)], ids=["8x8", "halfwidth"])
+def test_read_frames_binary_rejects_a_record_on_another_grid(tmp_path, header):
+    # Both records hold 64 values, so only the header tells the grids apart.
+    target = tmp_path / "frames.bin"
+    target.write_bytes(
+        _frame_record((1, 64, 8.0), 0.0, np.zeros(64)) + _frame_record(header, 0.1, np.ones(64))
+    )
+    message = f"frame record 1 has grid header (dims, points, halfwidth) {header}, record 0 has (1, 64, 8.0)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_frames_binary(target)
+
+
+@pytest.mark.parametrize("cut", ["values", "header", "huge-grid"])
+def test_read_frames_binary_rejects_a_short_record(tmp_path, monkeypatch, cut):
+    traj, _ = run(gaussian_config(duration=0.05))
+    target = tmp_path / "frames.bin"
+    write_frames_binary(traj, target)
+    raw = target.read_bytes()
+    nframes = traj.path.times.size
+    if cut == "values":
+        target.write_bytes(raw[:-8])
+        message = f"frame record {nframes - 1} is cut short: 127 values remain for a grid of 128**1 points"
+    elif cut == "header":
+        target.write_bytes(raw + raw[:20])
+        message = f"frame record {nframes} is cut short in its 32-byte header"
+    else:
+        # A corrupt header: 3**(2**40) points is a count too large to compute.
+        target.write_bytes(_frame_record((2**40, 3, 8.0), 0.0, np.zeros(4)))
+        monkeypatch.setattr(Grid, "npoints", property(lambda grid: pytest.fail("counted the points")))
+        message = "frame record 0 is cut short: 4 values remain for a grid of 3**1099511627776 points"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_frames_binary(target)
 
 
 def test_diagnostics_csv_and_summary_json(tmp_path):
