@@ -35,7 +35,7 @@ from .energy import (
 from .grid import Grid, GridFunction
 from .measures import AtomMeasure, LevyMeasureSpec
 from .nonlinearity import NonlinearitySpec, PowerEntropy, lp_companion, stroock_varopoulos_gap
-from .operators import _shift_sum, fourier_fractional, operator_report
+from .operators import apply_truncated, fourier_fractional, operator_report
 from .solver import (
     SolverConfig,
     _atomize,
@@ -396,13 +396,21 @@ def _suite_operator(config: SolverConfig, seed: int, atoms: AtomMeasure) -> tupl
         failures.append(f"constant-annihilation defect {rep.row_sum_defect:.3e} exceeds {tol:.3e}")
     if rep.dissipativity_defect > tol:
         failures.append(f"dissipativity defect {rep.dissipativity_defect:.3e} exceeds {tol:.3e}")
+    # The FFT route against the stencil; the defect is relative to ||Lf||_inf.
+    spectral_tol = 1e-12
+    if rep.spectral_defect > spectral_tol:
+        failures.append(
+            f"spectral route defect {rep.spectral_defect:.3e} exceeds {spectral_tol:.3e}"
+        )
     return not failures, {
         "samples": rep.samples,
         "symmetry_defect": rep.symmetry_defect,
         "row_sum_defect": rep.row_sum_defect,
         "dissipativity_defect": rep.dissipativity_defect,
+        "spectral_defect": rep.spectral_defect,
         "scale": rep.scale,
         "tolerance": tol,
+        "spectral_tolerance": spectral_tol,
         "failures": failures,
     }
 
@@ -416,7 +424,7 @@ def _suite_energy(config: SolverConfig, seed: int, atoms: AtomMeasure) -> tuple[
         f = GridFunction(config.grid, rng.standard_normal(config.grid.npoints))
         g = GridFunction(config.grid, rng.standard_normal(config.grid.npoints))
         # Lf by the shift stencil, B by the spectral form: two independent routes.
-        lf = _shift_sum(atoms, f.values)
+        lf = apply_truncated(atoms, f).values
         pairing = cell * float(np.dot(g.values, lf))
         efg = bilinear(atoms, f, g)
         worst_pairing = max(worst_pairing, abs(pairing + efg))

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .bump import discrete_bump_kernel, standard_bump
-from .grid import Grid, GridFunction, translated
+from .grid import Grid, GridFunction, translated, translated_blocks
 from .measures import AtomMeasure, KernelField, normalization_multiplier
 from .operators import grid_frequencies
 
@@ -130,16 +130,17 @@ def _jump_form(measure: AtomMeasure | KernelField, f: np.ndarray, g: np.ndarray)
     M, the Nyquist column. The product is symmetric in f and g term by term,
     and a zero f has a zero spectrum, so the form is exactly symmetric and
     exactly 0 on a zero difference. A KernelField has weights that depend on
-    x and so no symbol: its form is summed with one shift of the stack per
-    atom.
+    x and so no symbol: its form is summed atom by atom over blocks of
+    shifted copies of the stack.
     """
     grid = measure.grid
     stack = f[None] if g is f else np.stack([f, g])
     if isinstance(measure, KernelField):
         total = np.zeros(stack.shape[1:-1])
-        for k, offset in enumerate(measure.offsets):
-            jumps = translated(stack, grid, offset) - stack
-            total += np.dot(jumps[0] * jumps[-1], measure.weights[:, k])
+        for rows, shifted in translated_blocks(stack, grid, measure.offsets):
+            shifted -= stack
+            for jumps, weights in zip(shifted, measure.weights[:, rows].T):
+                total += np.dot(jumps[0] * jumps[-1], weights)
         return 0.5 * grid.cell_volume * total
     axes = tuple(range(stack.ndim - 1, stack.ndim - 1 + grid.dims))
     spectra = np.fft.rfftn(stack.reshape(stack.shape[:-1] + grid.shape), axes=axes)
@@ -246,7 +247,8 @@ def sobolev_seminorm_direct(alpha: float, f: GridFunction) -> float:
     norm_sq = h * float(np.dot(values, values))
 
     # Near field: (1/2) ||Df||^2 * int_{|z|<=r0} z^2 dmu, central differences.
-    dfv = (translated(values, grid, (1,)) - translated(values, grid, (-1,))) / (2.0 * h)
+    ahead, behind = translated(values, grid, [(1,), (-1,)])
+    dfv = (ahead - behind) / (2.0 * h)
     deriv_sq = h * float(np.dot(dfv, dfv))
     second_moment = 2.0 * c * near_radius ** (2.0 - alpha) / (2.0 - alpha)
     near_term = 0.5 * deriv_sq * second_moment
@@ -293,7 +295,8 @@ def _mollify_space_time(path_frames: np.ndarray, grid: Grid, ks: int, kt: int) -
 
     The spatial kernel is the radial bump sampled at the offsets j with
     |j| < ks + 1 (in 1-D, discrete_bump_kernel(ks)); it is applied as a sum of
-    periodic translates, one per offset of nonzero weight.
+    periodic translates, one per offset of nonzero weight, added in offset
+    order.
     """
     out = path_frames
     if ks > 0:
@@ -301,7 +304,14 @@ def _mollify_space_time(path_frames: np.ndarray, grid: Grid, ks: int, kt: int) -
         offsets = np.stack([a.reshape(-1) for a in axes], axis=-1)
         weights = standard_bump(np.sqrt(np.sum(offsets**2, axis=1)) / (ks + 1.0))
         weights /= weights.sum()
-        out = sum(w * translated(out, grid, j) for j, w in zip(offsets, weights) if w > 0)
+        keep = weights > 0
+        offsets, weights = offsets[keep], weights[keep]
+        total = np.zeros_like(out)
+        for rows, shifted in translated_blocks(out, grid, offsets):
+            shifted *= weights[rows, None, None]
+            for term in shifted:
+                total += term
+        out = total
     if kt > 0:
         nt = out.shape[0]
         padded = np.pad(out, ((kt, kt), (0, 0)))

@@ -3,16 +3,18 @@
 The grid is cell-centered: along each axis the M nodes sit at
 x_i = -R + (i + 1/2) h with h = 2R/M, so no node lies on the box boundary
 and integer-offset shifts wrap around periodically. Grid functions are
-stored flat in row-major (C) order.
+stored flat in row-major (C) order. Shifted copies are gathered from one
+copy of the box doubled by wrap-around along each axis (``translated``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -127,16 +129,75 @@ def mass(f: GridFunction) -> float:
     return float(f.values.sum() * f.grid.cell_volume)
 
 
-def translated(values: np.ndarray, grid: Grid, offset: Sequence[int]) -> np.ndarray:
-    """Periodic values of f(x + j h) for the integer offset vector j.
+# Values per block of translated_blocks: 16,384 float64 values, 128 KB. As
+# with solver._FRAME_BLOCK_POINTS, each block then stays in cache and below
+# glibc's 128 KB mmap threshold, so the heap recycles it.
+_SHIFT_BLOCK_POINTS = 16384
 
-    The last axis of ``values`` holds the flat grid values; leading axes
-    (frames, a stacked pair) are carried along unshifted. This is the one
-    place that moves grid data: every jump-difference loop goes through it.
+
+def _offset_starts(grid: Grid, offsets: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Offsets (one of shape (dims,) or a block of shape (K, dims)) reduced
+    mod M, which is where each shifted copy starts in the doubled box."""
+    block = np.asarray(offsets, dtype=np.int64)
+    if block.ndim not in (1, 2) or block.shape[-1] != grid.dims:
+        raise ValueError(
+            f"offsets must have one integer per axis ({grid.dims}), got shape {block.shape}"
+        )
+    return block % grid.points_per_axis
+
+
+def _wrapped_windows(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Every periodic translate of the box, as one view of a wrap-doubled copy.
+
+    The box is concatenated with itself along each grid axis once; entry
+    [s_1, ..., s_N] of the result is the window of that copy starting at s,
+    so its value at x is f(x + s h). The start axes come first, then the
+    leading axes of ``values``, then the window, so a gather over starts
+    comes out C-contiguous in (K,) + leading + box shape.
     """
-    if len(offset) != grid.dims:
-        raise ValueError(f"offset must have one integer per axis ({grid.dims}), got {len(offset)}")
     lead = values.shape[:-1]
     box = values.reshape(lead + grid.shape)
     axes = tuple(range(len(lead), box.ndim))
-    return np.roll(box, tuple(-int(j) for j in offset), axis=axes).reshape(values.shape)
+    for axis in axes:
+        box = np.concatenate([box, box], axis=axis)
+    windows = sliding_window_view(box, grid.shape, axis=axes)
+    return np.moveaxis(windows, axes, tuple(range(grid.dims)))
+
+
+def translated(
+    values: np.ndarray, grid: Grid, offsets: Sequence[int] | np.ndarray
+) -> np.ndarray:
+    """Periodic values of f(x + j h) for the integer offset vector j.
+
+    ``offsets`` is one offset of shape (dims,), giving an array shaped like
+    ``values``, or a block of shape (K, dims), giving the K shifted copies
+    stacked as (K,) + values.shape. Offsets alias mod M. The last axis of
+    ``values`` holds the flat grid values; leading axes (frames, a stacked
+    pair) are carried along unshifted. This is the one place that moves grid
+    data: every jump-difference loop goes through it or through
+    :func:`translated_blocks`, and both gather the shifted copies from one
+    wrap-doubled copy of the box.
+    """
+    starts = _offset_starts(grid, offsets)
+    shifted = _wrapped_windows(values, grid)[tuple(np.atleast_2d(starts).T)]
+    return shifted.reshape(starts.shape[:-1] + values.shape)
+
+
+def translated_blocks(
+    values: np.ndarray, grid: Grid, offsets: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """:func:`translated` for a (K, dims) block of offsets, taken in
+    consecutive row blocks of at most _SHIFT_BLOCK_POINTS values (one row if
+    a copy is larger), all gathered from one wrap-doubled copy of the box.
+
+    Yields (rows, shifted): the slice of offset rows and their shifted
+    copies, shape (rows,) + values.shape. Each block is a fresh array that
+    the caller may overwrite.
+    """
+    starts = _offset_starts(grid, offsets).reshape(-1, grid.dims)
+    windows = _wrapped_windows(values, grid)
+    step = max(1, _SHIFT_BLOCK_POINTS // values.size)
+    for lo in range(0, len(starts), step):
+        block = starts[lo : lo + step]
+        shifted = windows[tuple(block.T)]
+        yield slice(lo, lo + len(block)), shifted.reshape(block.shape[:1] + values.shape)

@@ -459,22 +459,16 @@ class KernelField:
             raise ValueError("scale function must live on the measure's grid")
         if np.any(scale.values < 0):
             raise ValueError("scale values must be nonnegative")
-        grid = base.grid
-        cols = [
-            0.5 * (scale.values + translated(scale.values, grid, z)) * weight
-            for z, weight in zip(base.offsets, base.weights)
-        ]
-        w = np.stack(cols, axis=-1) if cols else np.zeros((grid.npoints, 0))
-        return cls(grid, base, w)
+        shifted = translated(scale.values, base.grid, base.offsets)
+        w = 0.5 * (scale.values + shifted) * base.weights[:, None]
+        return cls(base.grid, base, w.T)
 
     def symmetry_defect(self) -> float:
         """max |w(x, z) - w(x+z, -z)| over all points and atoms."""
-        worst = 0.0
-        for k, z in enumerate(self.offsets):
-            # compare w(x, z_k) with w(x + z_k, -z_k); -z_k is atom K-1-k
-            mirrored = translated(self.weights[:, -1 - k], self.grid, z)
-            worst = max(worst, float(np.max(np.abs(self.weights[:, k] - mirrored))))
-        return worst
+        # source[k, x] is the flat index of x + z_k; -z_k is atom K-1-k
+        source = translated(np.arange(self.grid.npoints), self.grid, self.offsets)
+        mirrored = self.weights[source.T, np.arange(self.base.natoms)[::-1]]
+        return float(np.max(np.abs(self.weights - mirrored), initial=0.0))
 
 
 def shift_bound_ratio(kernel: KernelField) -> float:
@@ -491,8 +485,7 @@ def shift_bound_ratio(kernel: KernelField) -> float:
     grid = kernel.grid
     w = kernel.weights[:, mask].T
     worst = 1.0
-    for unit in np.eye(grid.dims, dtype=np.int64):
-        neighbor = translated(w, grid, unit)
+    for neighbor in translated(w, grid, np.eye(grid.dims, dtype=np.int64)):
         for a, b in ((w, neighbor), (neighbor, w)):
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where((a == 0) & (b == 0), 1.0, b / np.where(a == 0, np.nan, a))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nonlocal_pme
-from nonlocal_pme import ConfigError, load_experiment, main, read_frames_binary
+from nonlocal_pme import ConfigError, cli, load_experiment, main, read_frames_binary
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "experiment.json"
 
@@ -208,6 +208,33 @@ def test_verify_seed_changes_the_report(tmp_path):
     rep_b = json.loads((out_b / "verify_operator.json").read_text())
     assert rep_a["seed"] == 1 and rep_b["seed"] == 2
     assert rep_a["scale"] != rep_b["scale"]
+
+
+def test_a_flipped_symbol_fails_the_operator_suite(tmp_path, monkeypatch, capsys):
+    # the scheme steps with the FFT route; a symbol of the wrong sign leaves
+    # the stencil's identities intact, and only the spectral defect sees it
+    path = write_config(tmp_path, base_config(checks=["operator"]))
+    out = tmp_path / "reports"
+    assert main(["verify", "--config", path, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "verify_operator.json").read_text())
+    assert report["spectral_defect"] <= report["spectral_tolerance"] == 1e-12
+
+    atomize = cli._atomize
+
+    def flipped(config):
+        atoms = atomize(config)
+        atoms.__dict__["symbol"] = -atoms.symbol
+        return atoms
+
+    monkeypatch.setattr(cli, "_atomize", flipped)
+    assert main(["verify", "--config", path, "--out", str(out), "--quiet"]) == 1
+    report = json.loads((out / "verify_operator.json").read_text())
+    assert report["ok"] is False
+    assert report["spectral_defect"] > 1.0
+    assert report["failures"] == [
+        f"spectral route defect {report['spectral_defect']:.3e} exceeds 1.000e-12"
+    ]
+    assert "spectral route defect" in capsys.readouterr().err
 
 
 def test_convergence_table_and_report(tmp_path):

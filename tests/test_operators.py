@@ -22,10 +22,12 @@ from nonlocal_pme import (
     second_moment_within,
     truncate_and_atomize,
 )
+from nonlocal_pme.grid import _SHIFT_BLOCK_POINTS
 from nonlocal_pme.operators import _apply_atoms, _shift_sum
 from nonlocal_pme.solver import _run
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "experiment.json"
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 def two_cell_operator():
@@ -60,6 +62,8 @@ def test_operator_report_defects_are_tiny():
     assert rep.symmetry_defect <= tol
     assert rep.row_sum_defect <= tol
     assert rep.dissipativity_defect <= tol
+    # the FFT route against the stencil, relative to the stencil's size
+    assert 0.0 < rep.spectral_defect <= 1e-13
 
 
 def test_cosine_modes_are_eigenvectors():
@@ -172,11 +176,9 @@ def test_compensated_set_steps_the_demo_run_cleanly():
     assert report.budget.enclosure_ok
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_spectral_apply_matches_the_shift_sum(data):
-    # the FFT route against the atom-by-atom stencil on random even tables;
-    # offsets reach past +-M/2 and past M, so atoms alias onto one index mod M
+def draw_even_atoms(data):
+    # a random even atom table on a small grid; offsets reach past +-M/2 and
+    # past M, so atoms alias onto one index mod M, and zero weights occur
     dims = data.draw(st.integers(min_value=1, max_value=3))
     m = data.draw(st.integers(min_value=1, max_value=7 if dims < 3 else 5))
     grid = Grid(dims=dims, points_per_axis=m, halfwidth=1.0)
@@ -185,7 +187,7 @@ def test_spectral_apply_matches_the_shift_sum(data):
             st.tuples(
                 st.lists(st.integers(-2 * m, 2 * m), min_size=dims, max_size=dims),
                 # weights stay far from the subnormal range, where the
-                # relative tolerance below has no meaning
+                # relative tolerance of the spectral comparison has no meaning
                 st.just(0.0) | st.floats(min_value=1e-6, max_value=10.0),
             ),
             max_size=8,
@@ -197,7 +199,15 @@ def test_spectral_apply_matches_the_shift_sum(data):
         if any(offset) and offset not in table:
             table[offset] = table[tuple(-j for j in offset)] = weight
     offsets = np.array(list(table), dtype=np.int64).reshape(-1, dims)
-    atoms = AtomMeasure(grid, offsets, np.array(list(table.values())))
+    return AtomMeasure(grid, offsets, np.array(list(table.values())))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_spectral_apply_matches_the_shift_sum(data):
+    # the FFT route against the atom-by-atom stencil on random even tables
+    atoms = draw_even_atoms(data)
+    grid = atoms.grid
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     values = data.draw(st.sampled_from([1.0, 1e-3, 1e6])) * rng.standard_normal(grid.npoints)
     want = _shift_sum(atoms, values)
@@ -205,6 +215,45 @@ def test_spectral_apply_matches_the_shift_sum(data):
     assert got.shape == values.shape
     tol = 1e-13 * atoms.total_mass * float(np.max(np.abs(values)))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+
+
+def roll_shift_sum(atoms, values):
+    # the stencil as one np.roll per atom, accumulated in atom order: the
+    # loop that the blocked gather replaced, kept as its oracle
+    box = values.reshape(atoms.grid.shape)
+    axes = tuple(range(atoms.grid.dims))
+    out = np.zeros_like(values)
+    for offset, weight in zip(atoms.offsets, atoms.weights):
+        out += weight * (np.roll(box, tuple(-offset), axis=axes).reshape(-1) - values)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_shift_sum_is_the_roll_loop_byte_for_byte(data):
+    atoms = draw_even_atoms(data)
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.standard_normal(atoms.grid.npoints)
+    # signed zeros in the input make jumps of -0.0 as well as 0.0, and
+    # tobytes tells the two apart
+    values[rng.random(values.size) < 0.3] = -0.0
+    values[rng.random(values.size) < 0.2] = 0.0
+    got = _shift_sum(atoms, values)
+    assert got.tobytes() == roll_shift_sum(atoms, values).tobytes()
+
+
+@pytest.mark.parametrize(
+    "config", [BENCH_CONFIGS / "experiment-1d.json", BENCH_CONFIGS / "experiment-2d.json"]
+)
+def test_shift_sum_is_the_roll_loop_across_blocks(config):
+    # 1-D: 120 atoms in blocks of 64; 2-D at 96^2: one atom per block
+    solver = load_experiment(str(config)).solver
+    grid = solver.grid
+    atoms = truncate_and_atomize(solver.measure, grid, solver.truncation_radius, solver.tail)
+    assert atoms.natoms > max(1, _SHIFT_BLOCK_POINTS // grid.npoints)
+    values = np.random.default_rng(grid.npoints).standard_normal(grid.npoints)
+    got = _shift_sum(atoms, values)
+    assert got.tobytes() == roll_shift_sum(atoms, values).tobytes()
 
 
 def test_symbol_matches_the_closed_form():
