@@ -75,7 +75,6 @@ from .solver import (
     oleinik_report,
     read_frames_binary,
     run,
-    step,
     write_diagnostics_csv,
     write_frames_binary,
     write_summary_json,
@@ -137,7 +136,6 @@ __all__ = [
     "sobolev_seminorm_fourier",
     "sphere_area",
     "standard_bump",
-    "step",
     "stroock_varopoulos_gap",
     "time_tail",
     "truncate_and_atomize",

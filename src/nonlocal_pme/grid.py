@@ -102,9 +102,6 @@ class GridFunction:
         """Read-only view of the values in (M, ..., M) box shape."""
         return self.values.reshape(self.grid.shape)
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
-
 
 def lp_norms(values: np.ndarray, cell_volume: float, p: float) -> np.ndarray:
     """Discrete L^p norm (sum |f|^p h^N)^(1/p) along the last axis, so a stack
@@ -129,10 +126,12 @@ def mass(f: GridFunction) -> float:
     return float(f.values.sum() * f.grid.cell_volume)
 
 
-# Values per block of translated_blocks: 16,384 float64 values, 128 KB. As
-# with solver._FRAME_BLOCK_POINTS, each block then stays in cache and below
-# glibc's 128 KB mmap threshold, so the heap recycles it.
-_SHIFT_BLOCK_POINTS = 16384
+# Values per block of the blocked loops, translated_blocks here and the frame
+# reductions of solver.run: 16,384 float64 values, 128 KB. As with
+# nonlinearity._BUMP_BLOCK, each temporary then stays in cache and below
+# glibc's 128 KB mmap threshold, so the heap recycles it; whole-stack
+# temporaries are mapped and page-faulted afresh on every pass.
+_BLOCK_POINTS = 16384
 
 
 def _offset_starts(grid: Grid, offsets: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -187,7 +186,7 @@ def translated_blocks(
     values: np.ndarray, grid: Grid, offsets: np.ndarray
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """:func:`translated` for a (K, dims) block of offsets, taken in
-    consecutive row blocks of at most _SHIFT_BLOCK_POINTS values (one row if
+    consecutive row blocks of at most _BLOCK_POINTS values (one row if
     a copy is larger), all gathered from one wrap-doubled copy of the box.
 
     Yields (rows, shifted): the slice of offset rows and their shifted
@@ -196,7 +195,7 @@ def translated_blocks(
     """
     starts = _offset_starts(grid, offsets).reshape(-1, grid.dims)
     windows = _wrapped_windows(values, grid)
-    step = max(1, _SHIFT_BLOCK_POINTS // values.size)
+    step = max(1, _BLOCK_POINTS // values.size)
     for lo in range(0, len(starts), step):
         block = starts[lo : lo + step]
         shifted = windows[tuple(block.T)]

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .energy import PathFunction, _jump_form
-from .grid import Grid, GridFunction, lp_norms
+from .grid import _BLOCK_POINTS, Grid, GridFunction, lp_norms
 from .measures import AssumptionError, AtomMeasure, KernelField, LevyMeasureSpec, truncate_and_atomize
 from .nonlinearity import NonlinearitySpec, lipschitz_bound, lp_companion
 from .operators import _apply_atoms
@@ -27,11 +27,6 @@ from .operators import _apply_atoms
 _INF = float("inf")
 # The norms every run reports.
 _LP_ORDERS = (1.0, 2.0, 4.0, _INF)
-# Points per block of the frame diagnostics: 16,384 float64 values, 128 KB.
-# As with nonlinearity._BUMP_BLOCK, each temporary then stays in cache and
-# below glibc's 128 KB mmap threshold, so the heap recycles it; whole-stack
-# temporaries are mapped and page-faulted afresh on every pass.
-_FRAME_BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -158,41 +153,21 @@ def _checked_dt(
     amplitude: float,
     theta: float,
     dt: float | None,
-    refusal: str,
 ) -> tuple[float, float]:
     """(dt, Lip(phi_n)) for states in [-amplitude, amplitude].
 
-    dt = None takes the step-size bound itself; a dt above the bound raises,
-    with refusal appended to the message. Zero amplitude (identically zero
-    data) falls back to the unit range so a step size still exists for the
-    trivial evolution.
+    dt = None takes the step-size bound itself; a dt above the bound raises.
+    Zero amplitude (identically zero data) falls back to the unit range so a
+    step size still exists for the trivial evolution.
     """
     lip = lipschitz_bound(spec, amplitude if amplitude > 0 else 1.0)
     bound = cfl_dt(atoms, lip, theta)
     if dt is None:
         dt = bound
     if dt > bound * (1.0 + 1e-12):
-        raise AssumptionError(f"dt = {dt:.6g} exceeds the monotonicity bound {bound:.6g}{refusal}")
+        raise AssumptionError(f"dt = {dt:.6g} exceeds the monotonicity bound {bound:.6g} "
+                              f"(theta = {theta}); pick dt at or below the bound")
     return dt, lip
-
-
-def step(u: GridFunction, atoms: AtomMeasure, spec: NonlinearitySpec, dt: float) -> GridFunction:
-    """One forward-Euler update u + dt * L[phi_n(u)].
-
-    Refuses (hard error) when dt exceeds the theta = 1 monotonicity bound for
-    the current state amplitude. Mass is conserved up to rounding: the
-    operator's symbol vanishes exactly at the zero frequency.
-    """
-    if u.grid != atoms.grid:
-        raise ValueError("state and operator grids differ")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    amplitude = float(np.max(np.abs(u.values)))
-    if amplitude > 0:
-        _checked_dt(atoms, spec, amplitude, 1.0, dt,
-                    " for this state; refusing to take a potentially oscillatory step")
-    flux = _apply_atoms(atoms, spec.value(u.values))
-    return u.with_values(u.values + dt * flux)
 
 
 def run(config: SolverConfig) -> tuple[Trajectory, DiagnosticsReport]:
@@ -210,65 +185,55 @@ def _atomize(config: SolverConfig) -> AtomMeasure:
 
 
 def _run(config: SolverConfig, atoms: AtomMeasure) -> tuple[Trajectory, DiagnosticsReport]:
-    """run with the atoms of config.measure already built."""
+    """run with the atoms of config.measure already built.
+
+    Each step writes its frame straight into the stack. Once a block of
+    whole frames of at most _BLOCK_POINTS values (one frame if a frame is
+    larger) is complete, or the last frame is made, the block is reduced to
+    its primitive integrals, masses, minima and _LP_ORDERS norms. Every value
+    is a reduction over its own row, and the primitive is pointwise, so the
+    table equals the whole-stack expressions bit for bit.
+    """
     grid = config.grid
     spec = config.nonlinearity
+    hN = grid.cell_volume
     amplitude = float(np.max(np.abs(config.initial.values)))
-    dt, lip = _checked_dt(atoms, spec, amplitude, config.cfl_theta, config.dt,
-                          f" (theta = {config.cfl_theta}); pick dt at or below the bound")
+    dt, lip = _checked_dt(atoms, spec, amplitude, config.cfl_theta, config.dt)
     nsteps = max(1, math.ceil(config.duration / dt - 1e-9))
     dt = config.duration / nsteps
 
     frames = np.empty((nsteps + 1, grid.npoints), dtype=np.float64)
     frames[0] = config.initial.values
-    u = config.initial.values.copy()
     frame_energy = np.zeros(nsteps, dtype=np.float64)
     flux_square = np.zeros(nsteps, dtype=np.float64)
-    for k in range(nsteps):
-        pv = spec.value(u)
-        flux = _apply_atoms(atoms, pv)
-        frame_energy[k] = -grid.cell_volume * float(np.dot(pv, flux))
-        flux_square[k] = grid.cell_volume * float(np.dot(flux, flux))
-        u = u + dt * flux
-        if not np.all(np.isfinite(u)):
-            raise FloatingPointError(
-                f"state became non-finite at frame {k + 1} (t = {(k + 1) * dt:.6g})"
-            )
-        frames[k + 1] = u
+    rows = max(1, _BLOCK_POINTS // grid.npoints)
+    phi_integrals, masses, minima = np.empty(nsteps + 1), np.empty(nsteps + 1), np.empty(nsteps + 1)
+    norms = {p: np.empty(nsteps + 1) for p in _LP_ORDERS}
+    for k in range(nsteps + 1):
+        if k:
+            pv = spec.value(frames[k - 1])
+            flux = _apply_atoms(atoms, pv)
+            frame_energy[k - 1] = -hN * float(np.dot(pv, flux))
+            flux_square[k - 1] = hN * float(np.dot(flux, flux))
+            np.add(frames[k - 1], dt * flux, out=frames[k])
+            if not np.all(np.isfinite(frames[k])):
+                raise FloatingPointError(f"state became non-finite at frame {k} (t = {k * dt:.6g})")
+        if k % rows == rows - 1 or k == nsteps:
+            lo = k - k % rows
+            block = frames[lo : k + 1]
+            phi_integrals[lo : k + 1] = hN * spec.primitive(block).sum(axis=1)
+            masses[lo : k + 1] = hN * block.sum(axis=1)
+            minima[lo : k + 1] = np.min(block, axis=1)
+            for p, series in norms.items():
+                series[lo : k + 1] = lp_norms(block, hN, p)
 
     # Read-only, the stack is adopted by the path instead of copied.
     frames.flags.writeable = False
     path = PathFunction(grid, np.linspace(0.0, config.duration, nsteps + 1), frames)
-    table = _frame_table(path, spec)
-    budget = _energy_balance(path, table["phi_integrals"], lip, frame_energy, flux_square)
+    budget = _energy_balance(path, phi_integrals, lip, frame_energy, flux_square)
     traj = Trajectory(path=path, config=config, atoms=atoms, budget=budget)
+    table = {"masses": masses, "minima": minima, "norms": norms}
     return traj, _diagnose(budget, table, frame_energy)
-
-
-def _frame_table(path: PathFunction, spec: NonlinearitySpec) -> dict:
-    """The primitive integral, mass, minimum and _LP_ORDERS norms of each
-    frame, as arrays with one entry per frame under the keys "phi_integrals",
-    "masses", "minima" and "norms" (a dict by order).
-
-    The frames are reduced in blocks of whole rows of at most
-    _FRAME_BLOCK_POINTS points (one row if a frame is larger). Every value
-    is a reduction over its own row, and the primitive is pointwise, so the
-    table equals the whole-stack expressions bit for bit.
-    """
-    hN = path.grid.cell_volume
-    frames = path.frames
-    nframes = frames.shape[0]
-    rows = max(1, _FRAME_BLOCK_POINTS // path.grid.npoints)
-    phi_integrals, masses, minima = np.empty(nframes), np.empty(nframes), np.empty(nframes)
-    norms = {p: np.empty(nframes) for p in _LP_ORDERS}
-    for lo in range(0, nframes, rows):
-        block = frames[lo : lo + rows]
-        phi_integrals[lo : lo + rows] = hN * spec.primitive(block).sum(axis=1)
-        masses[lo : lo + rows] = hN * block.sum(axis=1)
-        minima[lo : lo + rows] = np.min(block, axis=1)
-        for p, series in norms.items():
-            series[lo : lo + rows] = lp_norms(block, hN, p)
-    return {"phi_integrals": phi_integrals, "masses": masses, "minima": minima, "norms": norms}
 
 
 def _energy_balance(
@@ -484,7 +449,7 @@ def convergence_study(
     ]
     level_atoms = [_atomize(cfg) for cfg in levels]
     dt = min(
-        _checked_dt(atoms, cfg.nonlinearity, amplitude, cfg.cfl_theta, None, "")[0]
+        _checked_dt(atoms, cfg.nonlinearity, amplitude, cfg.cfl_theta, None)[0]
         for cfg, atoms in zip(levels, level_atoms)
     )
     nsteps = max(1, math.ceil(base.duration / dt - 1e-9))

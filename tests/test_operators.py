@@ -22,7 +22,7 @@ from nonlocal_pme import (
     second_moment_within,
     truncate_and_atomize,
 )
-from nonlocal_pme.grid import _SHIFT_BLOCK_POINTS
+from nonlocal_pme.grid import _BLOCK_POINTS
 from nonlocal_pme.operators import _apply_atoms, _shift_sum
 from nonlocal_pme.solver import _run
 
@@ -250,7 +250,7 @@ def test_shift_sum_is_the_roll_loop_across_blocks(config):
     solver = load_experiment(str(config)).solver
     grid = solver.grid
     atoms = truncate_and_atomize(solver.measure, grid, solver.truncation_radius, solver.tail)
-    assert atoms.natoms > max(1, _SHIFT_BLOCK_POINTS // grid.npoints)
+    assert atoms.natoms > max(1, _BLOCK_POINTS // grid.npoints)
     values = np.random.default_rng(grid.npoints).standard_normal(grid.npoints)
     got = _shift_sum(atoms, values)
     assert got.tobytes() == roll_shift_sum(atoms, values).tobytes()

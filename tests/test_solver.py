@@ -1,5 +1,6 @@
 """The explicit monotone scheme and its diagnostic reports."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -26,7 +27,6 @@ from nonlocal_pme import (
     oleinik_report,
     read_frames_binary,
     run,
-    step,
     truncate_and_atomize,
     write_diagnostics_csv,
     write_frames_binary,
@@ -70,17 +70,50 @@ def test_cfl_bound_by_hand():
 
 
 def test_step_by_hand():
+    # theta = 1 takes dt = 1 / (2 * Lip * mass) = 0.5 in one step
     grid, atoms = two_cell_atoms()
-    u = GridFunction(grid, np.eye(8)[0])
-    out = step(u, atoms, NonlinearitySpec.linear(), 0.5)
-    np.testing.assert_array_equal(out.values, [0.5, 0.0, 0.25, 0.0, 0.0, 0.0, 0.25, 0.0])
+    config = SolverConfig(
+        measure=LevyMeasureSpec.atomic([((2.0,), 0.5), ((-2.0,), 0.5)], dims=1),
+        truncation_radius=1.0,
+        nonlinearity=NonlinearitySpec.linear(),
+        grid=grid,
+        duration=0.5,
+        initial=GridFunction(grid, np.eye(8)[0]),
+        cfl_theta=1.0,
+        tail_cutoff=4.0,
+    )
+    traj, _ = run(config)
+    assert traj.path.nsteps == 1 and traj.path.dt == 0.5
+    np.testing.assert_array_equal(traj.atoms.offsets, atoms.offsets)
+    np.testing.assert_array_equal(traj.path.frames[1], [0.5, 0.0, 0.25, 0.0, 0.0, 0.0, 0.25, 0.0])
 
 
-def test_step_refuses_oscillatory_dt():
-    grid, atoms = two_cell_atoms()
-    u = GridFunction(grid, np.eye(8)[0])
-    with pytest.raises(AssumptionError, match="oscillatory"):
-        step(u, atoms, NonlinearitySpec.linear(), 0.75)
+def test_a_non_finite_state_aborts_the_run_at_its_frame(tmp_path, monkeypatch, capsys):
+    apply_atoms = solver._apply_atoms
+    calls = []
+
+    def poisoned(atoms, values):
+        # the third operator application, and so frame 3, is non-finite
+        calls.append(None)
+        flux = apply_atoms(atoms, values)
+        return np.full_like(flux, np.inf) if len(calls) == 3 else flux
+
+    monkeypatch.setattr(solver, "_apply_atoms", poisoned)
+    with pytest.raises(FloatingPointError, match=r"^state became non-finite at frame 3 \(t = "):
+        run(gaussian_config())
+
+    calls.clear()
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "grid": {"dims": 1, "points": 64, "halfwidth": 8.0},
+        "measure": {"kind": "fractional", "alpha": 1.0},
+        "truncation": {"r": 0.25, "tail_cutoff": 4.0},
+        "nonlinearity": {"kind": "pme", "m": 2.0, "n": 2},
+        "time": {"T": 0.1, "theta": 0.4},
+        "initial": {"kind": "gaussian"},
+    }))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("check failed: state became non-finite at frame 3 (t = ")
 
 
 def test_run_reports_no_violations_and_conserves_mass():
@@ -208,6 +241,17 @@ def gaussian_2d_config(**overrides):
     return SolverConfig(**settings)
 
 
+def _whole_stack_table(path):
+    """The frame table of solver.run, from whole-stack expressions."""
+    hN = path.grid.cell_volume
+    frames = path.frames
+    return {
+        "masses": hN * frames.sum(axis=1),
+        "minima": np.min(frames, axis=1),
+        "norms": {p: lp_norms(frames, hN, p) for p in solver._LP_ORDERS},
+    }
+
+
 @pytest.mark.parametrize("case", ["2d-row-blocks", "1d-one-block", "short-last-block"])
 def test_frame_table_matches_the_whole_stack_formulas(monkeypatch, case):
     if case == "2d-row-blocks":
@@ -216,7 +260,7 @@ def test_frame_table_matches_the_whole_stack_formulas(monkeypatch, case):
         config, rows = gaussian_config(), None
     else:
         config, rows = gaussian_config(dt=0.25 / 16), 3
-        monkeypatch.setattr(solver, "_FRAME_BLOCK_POINTS", 3 * config.grid.npoints)
+        monkeypatch.setattr(solver, "_BLOCK_POINTS", 3 * config.grid.npoints)
     blocks = []
     primitive = NonlinearitySpec.primitive
 
@@ -224,7 +268,15 @@ def test_frame_table_matches_the_whole_stack_formulas(monkeypatch, case):
         blocks.append(np.shape(w))
         return primitive(self, w)
 
+    tables = []
+    diagnose = solver._diagnose
+
+    def captured(budget, table, frame_energy):
+        tables.append(table)
+        return diagnose(budget, table, frame_energy)
+
     monkeypatch.setattr(NonlinearitySpec, "primitive", recorded)
+    monkeypatch.setattr(solver, "_diagnose", captured)
     traj, report = run(config)
     frames = traj.path.frames
     nframes, npoints = frames.shape
@@ -236,11 +288,13 @@ def test_frame_table_matches_the_whole_stack_formulas(monkeypatch, case):
     hN = config.grid.cell_volume
     spec = config.nonlinearity
     phi_integrals = hN * spec.primitive(frames).sum(axis=1)
-    table = solver._frame_table(traj.path, spec)
-    assert np.array_equal(report.masses, hN * frames.sum(axis=1))
-    assert np.array_equal(table["minima"], np.min(frames, axis=1))
+    (table,) = tables
+    expected = _whole_stack_table(traj.path)
+    assert np.array_equal(table["masses"], expected["masses"])
+    assert np.array_equal(table["minima"], expected["minima"])
     for p in solver._LP_ORDERS:
-        assert np.array_equal(report.norms[p], lp_norms(frames, hN, p)), p
+        assert np.array_equal(table["norms"][p], expected["norms"][p]), p
+    assert report.masses is table["masses"] and report.norms is table["norms"]
     assert np.array_equal(traj.budget.phi_integrals, phi_integrals)
     residuals = phi_integrals + traj.budget.cumulative_energy - phi_integrals[0]
     assert np.array_equal(traj.budget.residuals, residuals)
@@ -315,7 +369,7 @@ def _residual_above_bound(budget, table, energy):
 )
 def test_violation_flag_names_the_first_failing_frame(broken, message):
     traj, report = run(gaussian_config())
-    table = solver._frame_table(traj.path, traj.config.nonlinearity)
+    table = _whole_stack_table(traj.path)
     energy = np.full(traj.path.nsteps, 1e-3)
     assert solver._diagnose(traj.budget, table, energy).violation_flags == ()
     flags = solver._diagnose(*broken(traj.budget, table, energy)).violation_flags
