@@ -34,7 +34,7 @@ from .energy import (
 )
 from .grid import Grid, GridFunction
 from .measures import AtomMeasure, LevyMeasureSpec
-from .nonlinearity import NonlinearitySpec, PowerEntropy, lp_companion, stroock_varopoulos_gap
+from .nonlinearity import NonlinearitySpec, lp_companion, stroock_varopoulos_gap
 from .operators import apply_truncated, fourier_fractional, operator_report
 from .solver import (
     SolverConfig,
@@ -472,11 +472,10 @@ def _suite_stroock_varopoulos(config: SolverConfig, seed: int, atoms: AtomMeasur
     failures = []
     for order in (1.5, 2.0, 3.0):
         companion = lp_companion(spec, order)
-        entropy_slope = PowerEntropy(order).slope_map()
         worst = np.inf
         for _ in range(6):
             psi = _random_path(config.grid, rng, nframes=4)
-            gap = stroock_varopoulos_gap(entropy_slope, spec, companion, psi, atoms)
+            gap = stroock_varopoulos_gap(companion, psi, atoms)
             worst = min(worst, gap)
         gaps[f"p={order:g}"] = worst
         if worst < -1e-10:

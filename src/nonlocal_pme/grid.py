@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,17 +86,6 @@ class GridFunction:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_callable(cls, grid: Grid, func: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        """Sample ``func`` at the grid nodes.
-
-        ``func`` receives an (npoints, dims) coordinate array and must return
-        npoints values (or broadcast to that).
-        """
-        coords = grid.coordinates()
-        values = np.broadcast_to(np.asarray(func(coords), dtype=np.float64), (grid.npoints,))
-        return cls(grid, values)
 
     def reshaped(self) -> np.ndarray:
         """Read-only view of the values in (M, ..., M) box shape."""

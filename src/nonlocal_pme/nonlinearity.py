@@ -132,28 +132,6 @@ class NonlinearitySpec:
         anchor = np.interp(0.0, self.knots, self.knot_values)
         return np.interp(u, self.knots, self.knot_values) - anchor
 
-    def raw_derivative(self, u: np.ndarray | float) -> np.ndarray:
-        """Pointwise slope of the raw map; right-hand slope at knots.
-
-        For the pme kind with exponent < 1 this is unbounded at zero (inf).
-        """
-        u = np.asarray(u, dtype=np.float64)
-        if self.kind == "linear":
-            return np.ones_like(u)
-        if self.kind == "pme":
-            with np.errstate(divide="ignore"):
-                return self.exponent * np.abs(u) ** (self.exponent - 1.0)
-        if self.kind == "stefan":
-            return np.where(np.abs(u) > self.latent_width, 1.0, 0.0)
-        knots = np.asarray(self.knots, dtype=np.float64)
-        vals = np.asarray(self.knot_values, dtype=np.float64)
-        slopes = np.diff(vals) / np.diff(knots)
-        idx = np.searchsorted(knots, u, side="right") - 1
-        inside = (idx >= 0) & (idx < slopes.size)
-        out = np.zeros_like(u)
-        out[inside] = slopes[idx[inside]]
-        return out
-
     def _raw_primitive(self, w: np.ndarray) -> np.ndarray:
         """Closed-form antiderivative from 0 of the raw map."""
         if self.kind == "linear":
@@ -228,15 +206,15 @@ class NonlinearitySpec:
         return self._averaged(self.raw_value, u) - self._anchors[0]
 
     def derivative(self, u: np.ndarray | float) -> np.ndarray:
-        """Slope of the map in effect.
+        """Slope of the smoothed map; the raw map (n = 0) has none here.
 
         The smoothed slope is the convolution against the scaled derivative
         of the bump, not a finite difference, so it is exact on affine maps
         and safe to feed to step-size bounds.
         """
+        if self.mollification_index < 1:
+            raise AssumptionError("the slope is taken of the smoothed map; use mollification_index >= 1")
         u = np.asarray(u, dtype=np.float64)
-        if self.mollification_index == 0:
-            return self.raw_derivative(u)
         n = float(self.mollification_index)
         return n * self._averaged(self.raw_value, u, _SLOPE_NODES, _SLOPE_WEIGHTS)
 
@@ -362,21 +340,6 @@ class PowerEntropy:
         xi = np.asarray(xi, dtype=np.float64)
         return self.p * (self.p - 1.0) * (delta * delta + xi * xi) ** (0.5 * (self.p - 2.0))
 
-    def slope_map(self) -> "_EntropySlope":
-        """The derivative as a value/derivative pair, for inequality checks."""
-        return _EntropySlope(self)
-
-
-@dataclass(frozen=True)
-class _EntropySlope:
-    entropy: PowerEntropy
-
-    def value(self, xi: np.ndarray | float) -> np.ndarray:
-        return self.entropy.derivative(xi)
-
-    def derivative(self, xi: np.ndarray | float) -> np.ndarray:
-        return self.entropy.second_derivative(xi)
-
 
 @dataclass(frozen=True)
 class LpCompanion:
@@ -432,14 +395,6 @@ class LpCompanion:
             )
         return levels[-1]
 
-    def derivative(self, w: np.ndarray | float) -> np.ndarray:
-        w = np.asarray(w, dtype=np.float64)
-        if self.entropy.p >= 2.0:
-            curvature = self.entropy.second_derivative(w)
-        else:
-            curvature = self.entropy.regularized_second(w, _COMPANION_DELTAS[-1])
-        return np.sqrt(curvature * self._slope_floor(w))
-
 
 def lp_companion(spec: NonlinearitySpec, p: float) -> LpCompanion:
     """Companion map for the p-norm dissipation inequality.
@@ -484,45 +439,15 @@ def lipschitz_bound(spec: NonlinearitySpec, radius: float) -> float:
 
 
 def stroock_varopoulos_gap(
-    outer_map: object,
-    inner_map: object,
-    companion_map: object,
+    companion: LpCompanion,
     psi: PathFunction,
     measure: AtomMeasure | KernelField,
 ) -> float:
-    """Time-integrated form of outer(psi) against inner(psi), minus the
-    squared seminorm of companion(psi). Nonnegative whenever the slopes
-    satisfy companion'^2 <= outer' * inner' on the sampled state range.
-
-    Maps are objects with .value and .derivative. The slope inequality is
-    checked first on 2048 samples of the path's value range, to a 1e-10
-    relative slack, and a violation raises AssumptionError.
+    """Time-integrated form of eta'(psi) against phi(psi), minus the squared
+    seminorm of xi(psi), for the entropy eta, flux phi and companion xi of
+    companion. Nonnegative, since xi'^2 <= eta'' * phi' (Stroock-Varopoulos).
     """
-    frames = psi.frames
-    lo = float(frames.min())
-    hi = float(frames.max())
-    xs = np.linspace(lo, hi, 2048) if hi > lo else np.array([lo])
-    outer_slope = outer_map.derivative(xs)
-    inner_slope = inner_map.derivative(xs)
-    companion_slope = companion_map.derivative(xs)
-    lhs = companion_slope * companion_slope
-    with np.errstate(invalid="ignore"):
-        rhs = outer_slope * inner_slope
-    finite_lhs = lhs[np.isfinite(lhs)]
-    slack = 1e-10 * (1.0 + (float(np.max(finite_lhs)) if finite_lhs.size else 0.0))
-    # inf * 0 gives nan; such points pass only if the left side vanishes.
-    rhs = np.where(np.isnan(rhs), np.where(lhs <= slack, np.inf, -np.inf), rhs)
-    excess = lhs - rhs
-    worst = float(np.max(excess))
-    if worst > slack:
-        at = xs[int(np.argmax(excess))]
-        raise AssumptionError(
-            f"slope inequality fails: companion'^2 exceeds outer'*inner' "
-            f"by {worst:.3e} at state value {at:.6g}"
-        )
-    outer_path = psi.map_values(outer_map.value)
-    inner_path = psi.map_values(inner_map.value)
-    companion_path = psi.map_values(companion_map.value)
-    return parabolic_bilinear(measure, outer_path, inner_path) - parabolic_bilinear(
-        measure, companion_path, companion_path
-    )
+    outer_path = psi.map_values(companion.entropy.derivative)
+    inner_path = psi.map_values(companion.spec.value)
+    xi = psi.map_values(companion.value)
+    return parabolic_bilinear(measure, outer_path, inner_path) - parabolic_bilinear(measure, xi, xi)

@@ -34,8 +34,8 @@ class SolverConfig:
     """Everything a run needs; dt = None means auto from the step-size bound.
 
     The nonlinearity carries the smoothing index n of the flux phi_n the
-    scheme steps. tail_cutoff bounds the jump quadrature; None means half
-    the domain halfwidth, keeping wrap-around interactions modest.
+    scheme steps. tail_cutoff bounds the jump quadrature, at most the domain
+    halfwidth; None means half of it, keeping wrap-around interactions modest.
     """
 
     measure: LevyMeasureSpec
@@ -60,6 +60,8 @@ class SolverConfig:
                 f"truncation radius {self.truncation_radius} is below the grid spacing "
                 f"{self.grid.spacing}; jumps shorter than one cell cannot be resolved"
             )
+        if self.tail > self.grid.halfwidth:
+            raise ValueError(f"tail cutoff {self.tail} exceeds the grid halfwidth {self.grid.halfwidth}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive when given, got {self.dt!r}")
 
@@ -452,8 +454,6 @@ def convergence_study(
         _checked_dt(atoms, cfg.nonlinearity, amplitude, cfg.cfl_theta, None)[0]
         for cfg, atoms in zip(levels, level_atoms)
     )
-    nsteps = max(1, math.ceil(base.duration / dt - 1e-9))
-    dt = base.duration / nsteps
     trajectories = [_run(replace(cfg, dt=dt), atoms)[0] for cfg, atoms in zip(levels, level_atoms)]
 
     coords = grid.coordinates()
@@ -467,7 +467,7 @@ def convergence_study(
     return ConvergenceReport(
         radii=tuple(float(r) for r in r_seq),
         indices=tuple(int(n) for n in n_seq),
-        dt=dt,
+        dt=trajectories[0].path.dt,
         sup_ball_l1_differences=tuple(diffs),
         decreasing=decreasing,
         trajectories=tuple(trajectories),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nonlocal_pme
-from nonlocal_pme import ConfigError, cli, load_experiment, main, read_frames_binary
+from nonlocal_pme import ConfigError, LpCompanion, cli, load_experiment, main, read_frames_binary
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "experiment.json"
 
@@ -169,6 +169,18 @@ def test_simulate_rejects_oversized_step_with_the_bound(tmp_path, capsys):
     assert "monotonicity bound" in capsys.readouterr().err
 
 
+def test_a_tail_cutoff_beyond_the_box_fails_at_load(tmp_path, capsys):
+    config = json.loads(DEMO_CONFIG.read_text())
+    config["truncation"]["tail_cutoff"] = 9.0
+    path = write_config(tmp_path, config)
+    with pytest.raises(ValueError, match="tail cutoff 9.0 exceeds the grid halfwidth 8.0"):
+        load_experiment(path)
+    out = tmp_path / "reports"
+    assert main(["verify", "--config", path, "--suite", "density", "--out", str(out), "--quiet"]) == 2
+    assert "tail cutoff" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_runs_configured_suites(tmp_path):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "reports"
@@ -235,6 +247,25 @@ def test_a_flipped_symbol_fails_the_operator_suite(tmp_path, monkeypatch, capsys
         f"spectral route defect {report['spectral_defect']:.3e} exceeds 1.000e-12"
     ]
     assert "spectral route defect" in capsys.readouterr().err
+
+
+def test_a_doubled_companion_fails_the_stroock_varopoulos_suite(tmp_path, monkeypatch, capsys):
+    # twice the companion quadruples its seminorm, which then exceeds the
+    # form of the entropy slope against the flux at every order
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "reports"
+    argv = ["verify", "--config", path, "--suite", "stroock-varopoulos", "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    value = LpCompanion.value
+    monkeypatch.setattr(LpCompanion, "value", lambda self, w: 2.0 * value(self, w))
+    assert main(argv) == 1
+    report = json.loads((out / "verify_stroock-varopoulos.json").read_text())
+    assert report["ok"] is False
+    assert all(gap < 0.0 for gap in report["min_gaps"].values())
+    assert [failure.split(":")[0] for failure in report["failures"]] == [
+        f"slope-product inequality failed at p={p}" for p in ("1.5", "2", "3")
+    ]
+    assert "slope-product inequality failed" in capsys.readouterr().err
 
 
 def test_convergence_table_and_report(tmp_path):

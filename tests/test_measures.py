@@ -238,7 +238,7 @@ def test_kernel_field_symmetry_defect():
     base = truncate_and_atomize(spec, grid, 0.25, 2.0)
     assert KernelField.constant(base).symmetry_defect() == 0.0
 
-    scale = GridFunction.from_callable(grid, lambda x: 1.0 + 0.5 * np.sin(np.pi * x[:, 0] / 4.0))
+    scale = GridFunction(grid, 1.0 + 0.5 * np.sin(np.pi * grid.coordinates()[:, 0] / 4.0))
     lopsided = KernelField.scaled(base, scale)
     assert lopsided.symmetry_defect() > 0.0
     averaged = KernelField.symmetrized_scaled(base, scale)

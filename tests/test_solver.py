@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from nonlocal_pme import (
 )
 from nonlocal_pme import cli, energy, measures, operators, solver
 from nonlocal_pme.grid import lp_norms
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "experiment.json"
 
 
 def two_cell_atoms():
@@ -457,6 +460,29 @@ def test_convergence_study_steps_each_level_at_its_smoothing_index():
         level, _ = run(replace(base, truncation_radius=r, nonlinearity=spec, dt=study.dt))
         assert traj.config.nonlinearity == spec
         assert np.array_equal(traj.path.frames, level.path.frames)
+
+
+@pytest.mark.parametrize("k", [40, 60, 100])
+def test_convergence_study_takes_a_common_step_just_above_a_whole_count(k):
+    # theta puts T / dt within 1e-9 above the integer k: the run rounds the
+    # step up to T / k, beyond the bound by 5e-10 / k relative, and the study
+    # must still accept the bound it met
+    exp = cli.load_experiment(DEMO_CONFIG)
+    base = exp.solver
+    radii, indices = exp.refinement
+    amplitude = float(np.max(np.abs(base.initial.values)))
+    unit_bound = min(
+        cfl_dt(
+            truncate_and_atomize(base.measure, base.grid, r, base.tail),
+            lipschitz_bound(replace(base.nonlinearity, mollification_index=n), amplitude),
+            1.0,
+        )
+        for r, n in zip(radii, indices)
+    )
+    theta = base.duration / ((k + 5e-10) * unit_bound)
+    study = convergence_study(replace(base, cfl_theta=theta), radii, indices)
+    assert all(t.path.nsteps == k for t in study.trajectories)
+    assert study.dt == base.duration / k
 
 
 def test_energy_budget_pair_atomizes_once(monkeypatch):
