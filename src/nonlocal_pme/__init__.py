@@ -8,7 +8,7 @@ is stepped explicitly under a monotonicity restriction. Alongside the solver
 the package carries the quadratic forms, companion nonlinearities, and
 comparison functionals needed to check the scheme's structural estimates
 numerically: mass conservation, energy dissipation with an explicit error
-enclosure, Lp decay against companion energies, slope-product inequalities,
+enclosure, Lp decay against companion energies, Stroock-Varopoulos gaps,
 ordering of increments, and Cauchy-style refinement studies.
 """
 

@@ -2,8 +2,11 @@
 
 Experiments are described by a JSON file with the sections grid, measure,
 truncation, nonlinearity, time, initial, and optionally checks, output and
-refinement. Every section rejects keys it does not know, and every numeric
-assumption is re-checked on load, so a config that parses is a config that
+refinement. Loading checks the JSON shape: every section rejects keys it
+does not know, and every value must be present with its JSON type. The
+records the values build (Grid, LevyMeasureSpec, NonlinearitySpec,
+GridFunction, SolverConfig) check the numeric assumptions, and their errors
+surface as ConfigError at load, so a config that parses is a config that
 runs. Exit codes: 0 all checks passed, 1 a check failed, 2 the config or
 command line was unusable.
 
@@ -98,11 +101,11 @@ def _nonneg_int(value, where: str) -> int:
 
 def _parse_grid(raw: dict) -> Grid:
     body = _section(raw, "grid", {"dims", "points", "halfwidth"}, {"dims", "points", "halfwidth"})
-    dims = _nonneg_int(body["dims"], "grid.dims")
-    points = _nonneg_int(body["points"], "grid.points")
-    if dims < 1 or points < 2:
-        raise ConfigError("grid needs dims >= 1 and points >= 2")
-    return Grid(dims=dims, points_per_axis=points, halfwidth=_positive(body["halfwidth"], "grid.halfwidth"))
+    return Grid(
+        dims=_nonneg_int(body["dims"], "grid.dims"),
+        points_per_axis=_nonneg_int(body["points"], "grid.points"),
+        halfwidth=_number(body["halfwidth"], "grid.halfwidth"),
+    )
 
 
 def _parse_measure(raw: dict, dims: int) -> LevyMeasureSpec:
@@ -111,9 +114,7 @@ def _parse_measure(raw: dict, dims: int) -> LevyMeasureSpec:
     if kind == "fractional":
         if "atoms" in body:
             raise ConfigError("measure.atoms does not apply to the fractional kind")
-        if "alpha" not in body:
-            raise ConfigError("fractional measure needs measure.alpha")
-        alpha = _positive(body["alpha"], "measure.alpha")
+        alpha = _number(body.get("alpha"), "measure.alpha")
         multiplier = body.get("multiplier")
         if multiplier is not None:
             multiplier = _positive(multiplier, "measure.multiplier")
@@ -129,8 +130,6 @@ def _parse_measure(raw: dict, dims: int) -> LevyMeasureSpec:
             if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
                 raise ConfigError("each atom must be [[offset components], weight]")
             offset = [_number(c, "atom offset component") for c in entry[0]]
-            if len(offset) != dims:
-                raise ConfigError(f"atom offset {entry[0]!r} does not have {dims} components")
             pairs.append((offset, _positive(entry[1], "atom weight")))
         return LevyMeasureSpec.atomic(pairs, dims=dims)
     raise ConfigError(f"unknown measure kind {kind!r}")
@@ -149,13 +148,9 @@ def _parse_nonlinearity(raw: dict) -> NonlinearitySpec:
     if stray:
         raise ConfigError(f"key(s) {sorted(stray)} do not apply to nonlinearity kind {kind!r}")
     if kind == "pme":
-        if "m" not in body:
-            raise ConfigError("pme nonlinearity needs nonlinearity.m")
-        return NonlinearitySpec.pme(_positive(body["m"], "nonlinearity.m"), index)
+        return NonlinearitySpec.pme(_number(body.get("m"), "nonlinearity.m"), index)
     if kind == "stefan":
-        if "a" not in body:
-            raise ConfigError("stefan nonlinearity needs nonlinearity.a")
-        return NonlinearitySpec.stefan(_positive(body["a"], "nonlinearity.a"), index)
+        return NonlinearitySpec.stefan(_number(body.get("a"), "nonlinearity.a"), index)
     if kind == "linear":
         return NonlinearitySpec.linear(index)
     knots = body.get("knots")
@@ -232,11 +227,6 @@ def _parse_initial(raw: dict, grid: Grid, config_dir: Path) -> GridFunction:
                     f"frame file grid {file_grid} does not match the configured grid"
                 )
             values = frames[-1]
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.shape != (grid.npoints,):
-            raise ConfigError(
-                f"initial data has {values.size} values, grid has {grid.npoints} nodes"
-            )
         return GridFunction(grid, values)
     return GridFunction(grid, _initial_values(grid, kind, params))
 
@@ -254,7 +244,11 @@ class ExperimentConfig:
 
 
 def load_experiment(path: str | Path) -> ExperimentConfig:
-    """Parse and validate an experiment JSON file."""
+    """Parse and validate an experiment JSON file.
+
+    A record's ValueError (an assumption the values break) surfaces as a
+    ConfigError with the record's message.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -264,6 +258,13 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    try:
+        return _experiment(raw, path.parent)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _experiment(raw: dict, config_dir: Path) -> ExperimentConfig:
     known = {
         "grid", "measure", "truncation", "nonlinearity",
         "time", "initial", "checks", "output", "refinement",
@@ -276,27 +277,19 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
     measure = _parse_measure(raw, grid.dims)
 
     trunc = _section(raw, "truncation", {"r", "tail_cutoff"}, {"r"})
-    radius = _positive(trunc["r"], "truncation.r")
+    radius = _number(trunc["r"], "truncation.r")
     tail = trunc.get("tail_cutoff")
-    if tail is not None:
-        tail = _positive(tail, "truncation.tail_cutoff")
-        if tail <= radius:
-            raise ConfigError("truncation.tail_cutoff must exceed truncation.r")
+    tail = None if tail is None else _number(tail, "truncation.tail_cutoff")
 
     nonlinearity = _parse_nonlinearity(raw)
 
     time_body = _section(raw, "time", {"T", "dt", "theta"}, {"T"})
-    duration = _positive(time_body["T"], "time.T")
+    duration = _number(time_body["T"], "time.T")
     dt = time_body.get("dt", "auto")
-    if dt == "auto":
-        dt = None
-    else:
-        dt = _positive(dt, "time.dt")
+    dt = None if dt == "auto" else _number(dt, "time.dt")
     theta = _number(time_body.get("theta", 0.5), "time.theta")
-    if not (0.0 < theta <= 1.0):
-        raise ConfigError(f"time.theta must lie in (0, 1], got {theta!r}")
 
-    initial = _parse_initial(raw, grid, path.parent)
+    initial = _parse_initial(raw, grid, config_dir)
 
     checks_body = raw.get("checks", list(_SUITES))
     if not isinstance(checks_body, list) or not all(isinstance(c, str) for c in checks_body):
@@ -323,8 +316,6 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
         indices = tuple(_nonneg_int(v, "refinement.n entry") for v in ref_body["n"])
         refinement = (radii, indices)
 
-    # Building the SolverConfig checks the solver-level assumptions, so a
-    # bad combination fails at load time with a named message, not mid-run.
     return ExperimentConfig(
         solver=SolverConfig(
             measure=measure,
@@ -479,7 +470,7 @@ def _suite_stroock_varopoulos(config: SolverConfig, seed: int, atoms: AtomMeasur
             worst = min(worst, gap)
         gaps[f"p={order:g}"] = worst
         if worst < -1e-10:
-            failures.append(f"slope-product inequality failed at p={order:g}: gap {worst:.3e}")
+            failures.append(f"Stroock-Varopoulos gap went negative at p={order:g}: {worst:.3e}")
     return not failures, {"min_gaps": gaps, "paths_per_order": 6, "failures": failures}
 
 
@@ -487,7 +478,7 @@ def _suite_oleinik(config: SolverConfig, seed: int, atoms: AtomMeasure | None) -
     spec = _smoothed(config.nonlinearity)
     del atoms  # the run below brings the atoms it stepped with
     traj, _ = run(replace(config, nonlinearity=spec, dt=None))
-    same = oleinik_report(traj, traj, spec, traj.atoms)
+    same = oleinik_report(traj.path, traj.path, spec, traj.atoms)
     failures = []
     zero_scale = 1e-12 * max(abs(same.monotone_integral), abs(same.quadratic_form), 1.0)
     if abs(same.monotone_integral) > zero_scale or abs(same.quadratic_form) > zero_scale:
@@ -533,12 +524,12 @@ def _suite_density(config: SolverConfig, seed: int, atoms: AtomMeasure | None) -
     path = PathFunction.sampled(config.grid, duration, nsteps=40, func=pulse)
     deltas = [duration / 5.0, duration / 10.0, duration / 20.0]
     errors = []
+    failures = []
     for delta in deltas:
         approx = density_approximation(path, delta)
         errors.append(float(np.max(np.abs(approx.frames - path.frames))))
         if float(np.max(np.abs(approx.frames))) > float(np.max(np.abs(path.frames))) + 1e-12:
-            return False, {"failures": [f"approximation overshot the path at delta={delta:g}"]}
-    failures = []
+            failures.append(f"approximation overshot the path at delta={delta:g}")
     if not all(b < a for a, b in zip(errors, errors[1:])):
         failures.append(f"errors did not decrease along the delta sequence: {errors}")
     return not failures, {

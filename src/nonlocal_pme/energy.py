@@ -30,7 +30,7 @@ import numpy as np
 
 from .bump import discrete_bump_kernel, standard_bump
 from .grid import Grid, GridFunction, translated, translated_blocks
-from .measures import AtomMeasure, KernelField, normalization_multiplier
+from .measures import AtomMeasure, KernelField, _check_order, normalization_multiplier
 from .operators import grid_frequencies
 
 
@@ -200,8 +200,7 @@ def sobolev_seminorm_fourier(alpha: float, f: GridFunction) -> float:
     xi_k = pi k / R per axis; the normalization is Parseval-consistent: at
     alpha = 0 the expression reduces to the discrete L^2 norm.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha!r}")
+    _check_order(alpha)
     grid = f.grid
     freqs = grid_frequencies(grid)
     mesh = np.meshgrid(*freqs, indexing="ij")
@@ -230,8 +229,7 @@ def sobolev_seminorm_direct(alpha: float, f: GridFunction) -> float:
     The correlation is evaluated by direct zero-padded summation, so this
     route shares no machinery with sobolev_seminorm_fourier.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha!r}")
+    c = normalization_multiplier(1, alpha)
     grid = f.grid
     if grid.dims != 1:
         raise NotImplementedError("the double-integral route is implemented in 1-D")
@@ -242,7 +240,6 @@ def sobolev_seminorm_direct(alpha: float, f: GridFunction) -> float:
         raise ValueError("radii leave no room for the band quadrature")
     near_radius = j_near * h
 
-    c = normalization_multiplier(1, alpha)
     values = f.values
     norm_sq = h * float(np.dot(values, values))
 

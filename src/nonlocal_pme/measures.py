@@ -38,17 +38,22 @@ def sphere_area(dims: int) -> float:
     return 2.0 * math.pi ** (dims / 2.0) / math.gamma(dims / 2.0)
 
 
+def _check_order(alpha: float | None) -> None:
+    """The fractional order alpha lies in (0, 2)."""
+    if alpha is None or not 0.0 < alpha < 2.0:
+        raise AssumptionError(
+            f"fractional order must lie in (0, 2), got {alpha!r}: "
+            "alpha >= 2 breaks integrability of |z|^2 near the origin "
+            "against |z|^(-N-alpha), alpha <= 0 breaks the tail mass"
+        )
+
+
 def normalization_multiplier(dims: int, alpha: float) -> float:
     """Multiplier c making the fractional operator's symbol equal -|xi|^alpha.
 
     c = alpha 2^(alpha-1) Gamma((N+alpha)/2) / (pi^(N/2) Gamma(1-alpha/2)).
     """
-    if not 0.0 < alpha < 2.0:
-        raise AssumptionError(
-            f"fractional order must lie in (0, 2), got {alpha!r}: "
-            "outside this range the jump measure loses either the finite "
-            "second moment near the origin or local integrability"
-        )
+    _check_order(alpha)
     num = alpha * 2.0 ** (alpha - 1.0) * math.gamma((dims + alpha) / 2.0)
     den = math.pi ** (dims / 2.0) * math.gamma(1.0 - alpha / 2.0)
     return num / den
@@ -68,12 +73,7 @@ class LevyMeasureSpec:
         if self.dims < 1:
             raise ValueError(f"dims must be positive, got {self.dims}")
         if self.kind == "fractional":
-            if self.alpha is None or not 0.0 < self.alpha < 2.0:
-                raise AssumptionError(
-                    f"fractional order must lie in (0, 2), got {self.alpha!r}: "
-                    "alpha >= 2 breaks integrability of |z|^2 near the origin "
-                    "against |z|^(-N-alpha), alpha <= 0 breaks the tail mass"
-                )
+            _check_order(self.alpha)
             c = self.multiplier
             if c is not None and not (math.isfinite(c) and c >= 0):
                 raise ValueError(f"multiplier must be finite and nonnegative, got {c!r}")
@@ -171,7 +171,7 @@ def annulus_mass(spec: LevyMeasureSpec, lower: float, upper: float) -> float:
         total = 0.0
         for z, w in spec.atoms:
             r = math.sqrt(sum(c * c for c in z))
-            if lower < r <= upper or (upper == math.inf and r > lower):
+            if lower < r <= upper:
                 total += w
         return total
     return float(_radial_tail_integral(spec, lower, upper, power=0))
@@ -271,32 +271,40 @@ class AtomMeasure:
         return np.sqrt(np.sum((self.offsets * self.grid.spacing) ** 2, axis=1))
 
 
+def _check_truncation(spec: LevyMeasureSpec, grid: Grid, r: float, tail_cutoff: float) -> None:
+    """The measure has the grid's dimension and the annulus r < |z| <= tail_cutoff
+    satisfies h <= r < tail_cutoff <= R: jumps below one cell have no offset,
+    an empty annulus leaves no operator, and jumps beyond the halfwidth wrap
+    around the periodic box."""
+    if spec.dims != grid.dims:
+        raise ValueError(f"measure dims {spec.dims} != grid dims {grid.dims}")
+    h = grid.spacing
+    if not r >= h:
+        raise AssumptionError(
+            f"truncation radius r = {r} is below the mesh width h = {h}; "
+            "jumps shorter than one cell have no offset representation"
+        )
+    if not tail_cutoff > r:
+        raise ValueError(f"tail cutoff {tail_cutoff} does not exceed the truncation radius r = {r}")
+    if tail_cutoff > grid.halfwidth:
+        raise ValueError(f"tail cutoff {tail_cutoff} exceeds the grid halfwidth {grid.halfwidth}")
+
+
 def truncate_and_atomize(
     spec: LevyMeasureSpec, grid: Grid, r: float, tail_cutoff: float
 ) -> AtomMeasure:
     """Restrict the measure to r < |z| <= tail_cutoff and bind it to grid offsets.
 
-    Requires r >= h (jumps below one cell cannot be represented by offsets)
-    and tail_cutoff <= R. In one dimension each kept offset receives the
-    measure of its midpoint interval clamped to the annulus, so the kept mass
-    is conserved exactly (the radial antiderivative is in closed form). In
-    higher dimensions a midpoint rule per cell is used. Both give z and -z
-    the same bits. Atomic measures keep their own atoms, which must lie on
+    Requires h <= r < tail_cutoff <= R (:func:`_check_truncation`). In one
+    dimension each kept offset receives the measure of its midpoint interval
+    clamped to the annulus, so the kept mass is conserved exactly (the radial
+    antiderivative is in closed form). In higher dimensions a midpoint rule
+    per cell is used. Both give z and -z the same bits. Atomic measures keep their own atoms, which must lie on
     grid offsets and are bit-even because the spec averaged each mirrored
     pair. :class:`AtomMeasure` is the one evenness check downstream.
     """
-    if spec.dims != grid.dims:
-        raise ValueError(f"measure dims {spec.dims} != grid dims {grid.dims}")
+    _check_truncation(spec, grid, r, tail_cutoff)
     h = grid.spacing
-    if r < h:
-        raise ValueError(
-            f"truncation radius r = {r} is below the mesh width h = {h}; "
-            "jumps shorter than one cell have no offset representation"
-        )
-    if tail_cutoff > grid.halfwidth:
-        raise ValueError(
-            f"tail cutoff {tail_cutoff} exceeds the grid halfwidth {grid.halfwidth}"
-        )
     empty = AtomMeasure(
         grid,
         np.zeros((0, grid.dims), dtype=np.int64),
@@ -305,8 +313,6 @@ def truncate_and_atomize(
         tail_cutoff=tail_cutoff,
         discarded_tail_mass=annulus_mass(spec, tail_cutoff, math.inf),
     )
-    if r >= tail_cutoff:
-        return empty
 
     if spec.kind == "atomic":
         assert spec.atoms is not None

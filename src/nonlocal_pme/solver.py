@@ -20,7 +20,14 @@ import numpy as np
 
 from .energy import PathFunction, _jump_form
 from .grid import _BLOCK_POINTS, Grid, GridFunction, lp_norms
-from .measures import AssumptionError, AtomMeasure, KernelField, LevyMeasureSpec, truncate_and_atomize
+from .measures import (
+    AssumptionError,
+    AtomMeasure,
+    KernelField,
+    LevyMeasureSpec,
+    _check_truncation,
+    truncate_and_atomize,
+)
 from .nonlinearity import NonlinearitySpec, lipschitz_bound, lp_companion
 from .operators import _apply_atoms
 
@@ -34,8 +41,10 @@ class SolverConfig:
     """Everything a run needs; dt = None means auto from the step-size bound.
 
     The nonlinearity carries the smoothing index n of the flux phi_n the
-    scheme steps. tail_cutoff bounds the jump quadrature, at most the domain
-    halfwidth; None means half of it, keeping wrap-around interactions modest.
+    scheme steps. tail_cutoff bounds the jump quadrature; None means half the
+    domain halfwidth, keeping wrap-around interactions modest. Construction
+    checks the run's assumptions, h <= truncation_radius < tail <= halfwidth
+    included; only the step-size bound, which needs the atoms, waits for run.
     """
 
     measure: LevyMeasureSpec
@@ -55,15 +64,9 @@ class SolverConfig:
             raise ValueError(f"duration must be positive, got {self.duration!r}")
         if not 0.0 < self.cfl_theta <= 1.0:
             raise ValueError(f"cfl_theta must lie in (0, 1], got {self.cfl_theta!r}")
-        if self.truncation_radius < self.grid.spacing:
-            raise AssumptionError(
-                f"truncation radius {self.truncation_radius} is below the grid spacing "
-                f"{self.grid.spacing}; jumps shorter than one cell cannot be resolved"
-            )
-        if self.tail > self.grid.halfwidth:
-            raise ValueError(f"tail cutoff {self.tail} exceeds the grid halfwidth {self.grid.halfwidth}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive when given, got {self.dt!r}")
+        _check_truncation(self.measure, self.grid, self.truncation_radius, self.tail)
 
     @property
     def tail(self) -> float:
@@ -338,18 +341,16 @@ class LpBudgetReport:
 
     summed_slack is the smallest, over the frames after the first, of
     (initial p-th power) - (frame p-th power) - (companion energy so far);
-    the decay estimate predicts it stays nonnegative.
+    the decay estimate predicts it stays nonnegative. Both companion fields
+    are None unless 1 < p < inf and the nonlinearity is smoothed (n >= 1).
     """
 
     p: float
     norms: np.ndarray
     max_increase: float
     monotone: bool
-    min_values: np.ndarray | None = None
-    min_max_drop: float | None = None
     companion_energy: np.ndarray | None = None
     summed_slack: float | None = None
-    note: str = ""
 
 
 def lp_budget(traj: Trajectory, p: float) -> LpBudgetReport:
@@ -369,41 +370,26 @@ def lp_budget(traj: Trajectory, p: float) -> LpBudgetReport:
     max_increase = float(np.max(increases, initial=0.0))
     monotone = max_increase <= 1e-10 * (1.0 + float(norms[0]))
 
-    min_values = None
-    min_max_drop = None
-    if p == _INF:
-        min_values = np.min(frames, axis=1)
-        min_max_drop = float(np.max(min_values[:-1] - min_values[1:], initial=0.0))
-
     companion_energy = None
     summed_slack = None
-    note = ""
     spec = traj.config.nonlinearity
-    if p != _INF and p > 1.0:
-        if spec.mollification_index >= 1:
-            xi = lp_companion(spec, p).value(frames)[:-1]
-            energies = _jump_form(traj.atoms, xi, xi)
-            companion_energy = np.concatenate([[0.0], np.cumsum(path.dt * energies)])
-            powers = hN * np.sum(np.abs(frames) ** p, axis=1)
-            # Frame 0 has slack exactly zero by construction; the later frames
-            # carry the information.
-            slack = powers[0] - powers - companion_energy
-            summed_slack = float(np.min(slack[1:])) if slack.size > 1 else 0.0
-        else:
-            note = "companion energy skipped: needs a smoothed nonlinearity (mollification_index >= 1)"
-    elif p == 1.0:
-        note = "companion energy defined for p > 1 only"
+    if 1.0 < p < _INF and spec.mollification_index >= 1:
+        xi = lp_companion(spec, p).value(frames)[:-1]
+        energies = _jump_form(traj.atoms, xi, xi)
+        companion_energy = np.concatenate([[0.0], np.cumsum(path.dt * energies)])
+        powers = hN * np.sum(np.abs(frames) ** p, axis=1)
+        # Frame 0 has slack exactly zero by construction; the later frames
+        # carry the information.
+        slack = powers[0] - powers - companion_energy
+        summed_slack = float(np.min(slack[1:])) if slack.size > 1 else 0.0
 
     return LpBudgetReport(
         p=p,
         norms=norms,
         max_increase=max_increase,
         monotone=monotone,
-        min_values=min_values,
-        min_max_drop=min_max_drop,
         companion_energy=companion_energy,
         summed_slack=summed_slack,
-        note=note,
     )
 
 
@@ -497,8 +483,8 @@ class OleinikReport:
 
 
 def oleinik_report(
-    first: Trajectory | PathFunction,
-    second: Trajectory | PathFunction,
+    first: PathFunction,
+    second: PathFunction,
     spec: NonlinearitySpec,
     measure: AtomMeasure | KernelField,
 ) -> OleinikReport:
@@ -509,19 +495,17 @@ def oleinik_report(
     for arbitrary same-shape path pairs; the balance defect is only
     meaningful when both follow the scheme from identical initial data.
     """
-    pa = first.path if isinstance(first, Trajectory) else first
-    pb = second.path if isinstance(second, Trajectory) else second
-    grid = pa.grid
-    if pb.grid != grid or not np.array_equal(pa.times, pb.times):
+    grid = first.grid
+    if second.grid != grid or not np.array_equal(first.times, second.times):
         raise ValueError("trajectories must share grid and time levels")
     if measure.grid != grid:
         raise ValueError("measure lives on a different grid")
 
-    dt = pa.dt
+    dt = first.dt
     hN = grid.cell_volume
-    nsteps = pa.nsteps
-    diff_state = pa.frames[:nsteps] - pb.frames[:nsteps]
-    diff_flux = spec.value(pa.frames[:nsteps]) - spec.value(pb.frames[:nsteps])
+    nsteps = first.nsteps
+    diff_state = first.frames[:nsteps] - second.frames[:nsteps]
+    diff_flux = spec.value(first.frames[:nsteps]) - spec.value(second.frames[:nsteps])
     integral = dt * hN * float(np.sum(diff_state * diff_flux))
 
     flux_and_psi = np.vstack([diff_flux, dt * diff_flux.sum(axis=0)])
@@ -529,7 +513,7 @@ def oleinik_report(
     tail_sq = 0.5 * float(forms[-1])
     point_sq = 0.5 * dt * dt * float(forms[:-1].sum())
 
-    initial_gap = hN * float(np.sum(np.abs(pa.frames[0] - pb.frames[0])))
+    initial_gap = hN * float(np.sum(np.abs(first.frames[0] - second.frames[0])))
     return OleinikReport(
         monotone_integral=integral,
         tail_square=tail_sq,
@@ -583,6 +567,9 @@ def _config_echo(config: SolverConfig, dt_effective: float) -> dict:
         }
     else:
         measure_echo = {"kind": measure.kind, "atoms": measure.atoms}
+    flux_echo = {"kind": spec.kind, "exponent": spec.exponent, "latent_width": spec.latent_width}
+    if spec.kind == "table":
+        flux_echo.update(knots=spec.knots, values=spec.knot_values)
     return {
         "grid": {
             "dims": config.grid.dims,
@@ -593,11 +580,7 @@ def _config_echo(config: SolverConfig, dt_effective: float) -> dict:
         "truncation_radius": config.truncation_radius,
         "tail_cutoff": config.tail,
         "mollification_index": spec.mollification_index,
-        "nonlinearity": {
-            "kind": spec.kind,
-            "exponent": spec.exponent,
-            "latent_width": spec.latent_width,
-        },
+        "nonlinearity": flux_echo,
         "duration": config.duration,
         "dt": dt_effective,
         "cfl_theta": config.cfl_theta,

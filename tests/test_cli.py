@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import nonlocal_pme
-from nonlocal_pme import ConfigError, LpCompanion, cli, load_experiment, main, read_frames_binary
+from nonlocal_pme import (
+    ConfigError,
+    LpCompanion,
+    PathFunction,
+    cli,
+    load_experiment,
+    main,
+    read_frames_binary,
+)
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "experiment.json"
 
@@ -70,9 +78,25 @@ def test_load_experiment_happy_path(tmp_path):
         {"nonlinearity": {"kind": "table", "knots": [[0], 1], "values": [0, 1]}},
         {"nonlinearity": {"kind": "table", "knots": [0, 1], "values": [0, "1"]}},
         {"measure": {"kind": "atomic", "atoms": [[[{}], 1.0]]}},
+        # The cases above keep their positional ids; each case below is named
+        # after the condition it breaks.
+        pytest.param({"truncation": {"r": 0.5, "tail_cutoff": 0.5}}, id="tail-not-beyond-r"),
+        pytest.param({"time": {"T": 0.1, "theta": 0}}, id="theta-zero"),
+        pytest.param({"time": {"T": 0}}, id="duration-zero"),
+        pytest.param({"time": {"T": 0.1, "dt": -0.01}}, id="dt-negative"),
+        pytest.param({"truncation": {"r": 0.1, "tail_cutoff": 4.0}}, id="r-below-h"),
+        pytest.param({"grid": {"dims": 1, "points": 1, "halfwidth": 8.0}}, id="one-point"),
+        pytest.param(
+            {"measure": {"kind": "atomic", "atoms": [[[1.0, 0.0], 1.0], [[-1.0, 0.0], 1.0]]}},
+            id="atom-offset-length",
+        ),
+        pytest.param({"nonlinearity": {"kind": "pme"}}, id="pme-without-m"),
+        pytest.param({"nonlinearity": {"kind": "stefan"}}, id="stefan-without-a"),
+        pytest.param({"initial": {"kind": "file", "params": {"path": "short.npy"}}}, id="initial-file-length"),
     ],
 )
 def test_bad_configs_are_rejected(tmp_path, mutation):
+    np.save(tmp_path / "short.npy", np.ones(3))  # three values for a 64-point grid
     with pytest.raises(ConfigError):
         load_experiment(write_config(tmp_path, base_config(**mutation)))
 
@@ -263,9 +287,26 @@ def test_a_doubled_companion_fails_the_stroock_varopoulos_suite(tmp_path, monkey
     assert report["ok"] is False
     assert all(gap < 0.0 for gap in report["min_gaps"].values())
     assert [failure.split(":")[0] for failure in report["failures"]] == [
-        f"slope-product inequality failed at p={p}" for p in ("1.5", "2", "3")
+        f"Stroock-Varopoulos gap went negative at p={p}" for p in ("1.5", "2", "3")
     ]
-    assert "slope-product inequality failed" in capsys.readouterr().err
+    assert "Stroock-Varopoulos gap went negative" in capsys.readouterr().err
+
+
+def test_an_overshooting_approximation_keeps_the_density_report_whole(tmp_path, monkeypatch, capsys):
+    def doubled(path, delta):
+        return PathFunction(path.grid, path.times, 2.0 * path.frames)
+
+    monkeypatch.setattr(cli, "density_approximation", doubled)
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "reports"
+    assert main(["verify", "--config", path, "--suite", "density", "--out", str(out), "--quiet"]) == 1
+    report = json.loads((out / "verify_density.json").read_text())
+    assert sorted(report) == ["deltas", "failures", "ok", "seed", "suite", "sup_errors"]
+    assert len(report["sup_errors"]) == len(report["deltas"]) == 3
+    assert report["failures"][:3] == [
+        f"approximation overshot the path at delta={delta:g}" for delta in report["deltas"]
+    ]
+    assert "approximation overshot" in capsys.readouterr().err
 
 
 def test_convergence_table_and_report(tmp_path):

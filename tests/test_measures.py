@@ -73,6 +73,21 @@ def test_second_moment_against_quadrature():
     assert second_moment_within(spec, 0.75) == pytest.approx(want, rel=1e-12)
 
 
+def test_atomic_annulus_mass_and_second_moment_by_hand():
+    # jumps of length 0.5 (inside r = 1), 2 (inside the annulus (1, 3]) and
+    # 5 (beyond the tail 3), each with its mirror
+    spec = LevyMeasureSpec.atomic(
+        [(z, w) for z0, w in (((0.3, 0.4), 1.0), ((1.2, 1.6), 0.5), ((3.0, 4.0), 0.25))
+         for z in (z0, tuple(-c for c in z0))],
+        dims=2,
+    )
+    assert annulus_mass(spec, 1.0, 3.0) == 1.0
+    assert annulus_mass(spec, 3.0, math.inf) == 0.5
+    assert annulus_mass(spec, 0.0, math.inf) == 3.5
+    assert second_moment_within(spec, 1.0) == pytest.approx(2 * 1.0 * 0.25, rel=1e-15)
+    assert second_moment_within(spec, 3.0) == pytest.approx(0.5 + 2 * 0.5 * 4.0, rel=1e-15)
+
+
 def test_atomic_measures_must_be_even():
     with pytest.raises(AssumptionError):
         LevyMeasureSpec.atomic([((1.0,), 1.0)], dims=1)

@@ -61,6 +61,38 @@ def gaussian_config(**overrides):
     return SolverConfig(**settings)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param(
+            {"initial": GridFunction(Grid(1, 64, 8.0), np.zeros(64))},
+            "initial data lives on a different grid",
+            id="initial-grid",
+        ),
+        pytest.param({"duration": 0.0}, "duration must be positive", id="duration"),
+        pytest.param({"cfl_theta": 0.0}, r"cfl_theta must lie in \(0, 1\]", id="theta"),
+        pytest.param({"dt": -0.1}, "dt must be positive", id="dt"),
+        pytest.param(
+            {"measure": LevyMeasureSpec.fractional(1.0, dims=2)},
+            "measure dims 2 != grid dims 1",
+            id="measure-dims",
+        ),
+        pytest.param({"truncation_radius": 0.1}, "below the mesh width h = 0.125", id="radius-below-h"),
+        pytest.param(
+            {"tail_cutoff": 0.25},
+            "tail cutoff 0.25 does not exceed the truncation radius",
+            id="tail-not-beyond-radius",
+        ),
+        pytest.param(
+            {"tail_cutoff": 9.0}, "tail cutoff 9.0 exceeds the grid halfwidth 8.0", id="tail-beyond-box"
+        ),
+    ],
+)
+def test_solver_config_checks_its_assumptions_at_construction(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        gaussian_config(**overrides)
+
+
 def test_cfl_bound_by_hand():
     # unit jump mass, unit slope: dt = theta / 2
     _, atoms = two_cell_atoms()
@@ -497,7 +529,7 @@ def test_oleinik_identical_pair_vanishes():
         LevyMeasureSpec.fractional(1.0, dims=1), traj.config.grid, 0.25, 4.0
     )
     spec = traj.config.nonlinearity
-    rep = oleinik_report(traj, traj, spec, atoms)
+    rep = oleinik_report(traj.path, traj.path, spec, atoms)
     assert rep.monotone_integral == 0.0
     assert rep.quadratic_form == 0.0
     assert rep.balance_defect == 0.0
@@ -601,3 +633,14 @@ def test_diagnostics_csv_and_summary_json(tmp_path):
     assert payload["seed"] == 42
     assert payload["violation_flags"] == []
     assert payload["config"]["grid"]["points_per_axis"] == 128
+
+
+def test_a_table_flux_echoes_its_knots():
+    def echo(knots):
+        spec = NonlinearitySpec.table(knots, [-1.0, 0.0, 2.0], mollification_index=2)
+        return solver._config_echo(gaussian_config(nonlinearity=spec), 0.01)["nonlinearity"]
+
+    first, second = echo([-1.0, 0.0, 1.0]), echo([-1.0, 0.0, 1.5])
+    assert first["knots"] == (-1.0, 0.0, 1.0) and first["values"] == (-1.0, 0.0, 2.0)
+    assert first != second
+    assert "knots" not in solver._config_echo(gaussian_config(), 0.01)["nonlinearity"]
